@@ -11,9 +11,14 @@ let scheme_conv : Experiments.Scheme.t Arg.conv =
     match Experiments.Scheme.of_string s with
     | Ok scheme -> Ok scheme
     | Error msg -> (
-      (* also accept the bare NxM / N,M shorthand for fixed factors *)
+      (* also accept the bare NxM / N,M shorthand for fixed factors,
+         range-checked like the long form *)
       match Cli_common.pair_of_string s with
-      | Ok (n, m) -> Ok (Experiments.Scheme.Fixed (n, m))
+      | Ok (n, m) ->
+        Result.map_error
+          (fun msg -> `Msg msg)
+          (Experiments.Scheme.of_string
+             (Experiments.Scheme.label (Experiments.Scheme.Fixed (n, m))))
       | Error _ -> Error (`Msg msg))
   in
   let print fmt s = Format.pp_print_string fmt (Experiments.Scheme.label s) in

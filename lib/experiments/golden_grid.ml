@@ -70,13 +70,13 @@ let digest_of_run ~mem (r : Runner.app_run) =
 let digest_cell cfg (w : Workloads.Workload.t) scheme =
   let mem = ref "" in
   match
-    Runner.exec_uncached
+    Runner.simulate
       (Runner.Request.make ~profile:true
          ~on_device:(fun dev -> mem := Digest.to_hex (digest_memory dev))
          cfg w scheme)
   with
   | Error msg -> Printf.sprintf "ERROR:%s" msg
-  | Ok r -> digest_of_run ~mem:!mem r
+  | Ok runs -> digest_of_run ~mem:!mem (List.hd runs)
 
 let cells () =
   List.concat_map

@@ -11,7 +11,8 @@
     Every run re-seeds the workload's inputs identically, executes the full
     launch sequence on a fresh device, and checks the CPU oracle — so a
     miscompiled transformation fails loudly rather than producing a fast
-    wrong answer.  Results are memoized per (config, workload, scheme). *)
+    wrong answer.  Results are memoized per cell: a config and one or more
+    co-resident (workload, scheme) members. *)
 
 module Config = Gpusim.Config
 module Gpu = Gpusim.Gpu
@@ -63,28 +64,71 @@ type app_run = {
 (* Requests: the one description of "run this cell like so"            *)
 (* ------------------------------------------------------------------ *)
 
-(** A single record describing one execution of a (config, workload,
-    scheme) cell — the sim flags that used to be triplicated optional
-    arguments on [run] / [run_result] / [run_uncached] live here once.
-    Build one with {!Request.make} and hand it to {!exec}; the legacy
-    entry points are now flag-free thin wrappers. *)
+(** A single record describing one execution of a cell: a config and an
+    ordered list of (workload, scheme) members, each on its own device,
+    all sharing one simulated GPU.  A solo cell is a group of one.  Build
+    one with {!Request.make} (solo) or {!Request.group} and hand it to
+    {!exec}. *)
 module Request = struct
   type t = {
     cfg : Config.t;
-    workload : Workloads.Workload.t;
-    scheme : Scheme.t;
+    members : (Workloads.Workload.t * Scheme.t) list;
+        (** launched co-resident, in this order; never empty *)
     trace : bool;  (** collect per-kernel access traces (bypasses cache) *)
     profile : bool;  (** attach a {!Profile.Collector} per kernel *)
     timeline : bool;  (** with [profile], also record the cycle timeline *)
     tenant : string option;
         (** disk-cache shard; [None] uses the shared top-level cache *)
     on_device : (Gpu.device -> unit) option;
-        (** observe the final device state before it is dropped *)
+        (** observe each member's final device state before it is
+            dropped *)
   }
 
   let make ?(trace = false) ?(profile = false) ?(timeline = false) ?tenant
       ?on_device cfg workload scheme =
-    { cfg; workload; scheme; trace; profile; timeline; tenant; on_device }
+    {
+      cfg;
+      members = [ (workload, scheme) ];
+      trace;
+      profile;
+      timeline;
+      tenant;
+      on_device;
+    }
+
+  (** A cell of co-resident members.  Only compile-time schemes
+      ({!Scheme.is_static}) can share the SMs with another member: a
+      runtime scheme's per-SM state cannot be attributed to one kernel. *)
+  let group ?tenant cfg members =
+    let refusal =
+      match members with
+      | [] -> Some "a cell needs at least one member"
+      | [ _ ] -> None
+      | _ ->
+        List.find_map
+          (fun ((w : Workloads.Workload.t), s) ->
+            if Scheme.is_static s then None
+            else
+              Some
+                (Printf.sprintf
+                   "co-resident mode requires a compile-time scheme; %s \
+                    requested %s"
+                   w.Workloads.Workload.name (Scheme.label s)))
+          members
+    in
+    match refusal with
+    | Some msg -> Error msg
+    | None ->
+      Ok
+        {
+          cfg;
+          members;
+          trace = false;
+          profile = false;
+          timeline = false;
+          tenant;
+          on_device = None;
+        }
 
   (** Trace/profile/timeline payloads and device observers are never
       persisted, so such requests always simulate. *)
@@ -114,6 +158,14 @@ type prepared = {
   prepared_tlp : int * int;
   analysis : Catt.Driver.t option;
 }
+
+(* Eq. 3 occupancy of a compiled kernel at its launch geometry *)
+let occupancy cfg prog geo =
+  Catt.Occupancy.configure cfg
+    ~grid_tbs:(geo.Catt.Analysis.grid_x * geo.Catt.Analysis.grid_y)
+    ~tb_threads:(geo.Catt.Analysis.block_x * geo.Catt.Analysis.block_y)
+    ~num_regs:prog.Gpusim.Bytecode.num_regs
+    ~shared_bytes:prog.Gpusim.Bytecode.shared_bytes ()
 
 let largest_divisor_leq value cap =
   List.fold_left
@@ -170,12 +222,7 @@ type fixed_variant = {
 let fixed_variant cfg kernel geo ~n ~m =
   let prog0 = Gpusim.Codegen.compile_kernel kernel in
   let tb_threads = geo.Catt.Analysis.block_x * geo.Catt.Analysis.block_y in
-  let grid_tbs = geo.Catt.Analysis.grid_x * geo.Catt.Analysis.grid_y in
-  match
-    Catt.Occupancy.configure cfg ~grid_tbs ~tb_threads
-      ~num_regs:prog0.Gpusim.Bytecode.num_regs
-      ~shared_bytes:prog0.Gpusim.Bytecode.shared_bytes ()
-  with
+  match occupancy cfg prog0 geo with
   | Error msg -> Error msg
   | Ok occ ->
     let warps_per_tb = occ.Catt.Occupancy.warps_per_tb in
@@ -253,14 +300,8 @@ let prepare_catt ?model cfg kernel geo =
 
 let prepare_baseline cfg kernel geo =
   let prog = Gpusim.Codegen.compile_kernel kernel in
-  let tb_threads = geo.Catt.Analysis.block_x * geo.Catt.Analysis.block_y in
-  let grid_tbs = geo.Catt.Analysis.grid_x * geo.Catt.Analysis.grid_y in
   let tlp =
-    match
-      Catt.Occupancy.configure cfg ~grid_tbs ~tb_threads
-        ~num_regs:prog.Gpusim.Bytecode.num_regs
-        ~shared_bytes:prog.Gpusim.Bytecode.shared_bytes ()
-    with
+    match occupancy cfg prog geo with
     | Ok occ -> (occ.Catt.Occupancy.warps_per_tb, occ.Catt.Occupancy.tbs_per_sm)
     | Error _ -> (0, 0)
   in
@@ -326,44 +367,81 @@ let note_kernel acc ~name ~tlp ~trace ~profile stats =
   | None ->
     acc := !acc @ [ (name, { kernel_name = name; stats; tlp; trace; profile }) ]
 
-let exec_uncached (req : Request.t) =
-  let { Request.cfg; workload = w; scheme; trace; profile; timeline; tenant = _;
-        on_device } =
+(* the labels a cell is logged, spanned and cached under: a solo cell's
+   own (workload, scheme), a group's "A+B" and "co(sa,sb)" *)
+let cell_labels = function
+  | [ ((w : Workloads.Workload.t), s) ] ->
+    (w.Workloads.Workload.name, scheme_label s)
+  | members ->
+    ( String.concat "+"
+        (List.map
+           (fun ((w : Workloads.Workload.t), _) -> w.Workloads.Workload.name)
+           members),
+      Printf.sprintf "co(%s)"
+        (String.concat "," (List.map (fun (_, s) -> scheme_label s) members)) )
+
+(* one member of a cell being simulated *)
+type member = {
+  w : Workloads.Workload.t;
+  mscheme : scheme;
+  prepared : (string * prepared) list;
+  dev : Gpu.device;
+  launches : (string * Gpu.launch * (int * int)) list;
+      (** kernel name, launch and TLP, in launch order *)
+  acc : (string * kernel_stats) list ref;
+  collector_for : string -> Profile.Collector.t option;
+}
+
+(** Simulate a cell, bypassing every cache: one run per member, in
+    member order.  Launches are zipped in order and each common position
+    runs as one {!Gpu.launch_group}.  A member with launches left over
+    finishes alone on the then-idle machine, under the same disjoint
+    address split as the group phase, so the warm shared L2 can never
+    serve it another member's lines.  Every CPU oracle still verifies,
+    and every counter stays attributed to its kernel.  Launch refusals
+    come back as [Error]. *)
+let simulate (req : Request.t) =
+  let { Request.cfg; members; trace; profile; timeline; tenant = _; on_device } =
     req
   in
+  let workload_label, label = cell_labels members in
   Obs.Span.with_span "runner.simulate"
     ~attrs:
       [
-        ("workload", Obs.Span.Str w.Workloads.Workload.name);
-        ("scheme", Obs.Span.Str (scheme_label scheme));
+        ("workload", Obs.Span.Str workload_label);
+        ("scheme", Obs.Span.Str label);
       ]
   @@ fun _ ->
   let started = Unix.gettimeofday () in
-  (* one collector per kernel name: repeated launches of the same kernel
-     aggregate into it, matching how stats accumulate *)
-  let collectors : (string, Profile.Collector.t) Hashtbl.t = Hashtbl.create 4 in
-  let collector_for name =
-    if not profile then None
-    else
-      Some
-        (match Hashtbl.find_opt collectors name with
-        | Some c -> c
-        | None ->
-          let c = Profile.Collector.create () in
-          if timeline then Profile.Collector.enable_timeline c;
-          Hashtbl.add collectors name c;
-          c)
+  let rec prepare = function
+    | [] -> Ok []
+    | (w, scheme) :: rest ->
+      Result.bind (prepare_all cfg w scheme) (fun p ->
+          Result.map (List.cons p) (prepare rest))
   in
-  match prepare_all cfg w scheme with
+  match prepare members with
   | Error _ as e -> e
-  | Ok prepared ->
-  let dev = Gpu.create cfg in
-  w.Workloads.Workload.setup dev (Gpu_util.Rng.create seed);
-  let acc : (string * kernel_stats) list ref = ref [] in
-  List.iter
-    (fun (l : Workloads.Workload.kernel_launch) ->
+  | Ok prepared -> (
+    (* one collector per kernel name: repeated launches of the same kernel
+       aggregate into it, matching how stats accumulate *)
+    let collectors () =
+      let table : (string, Profile.Collector.t) Hashtbl.t = Hashtbl.create 4 in
+      fun name ->
+        if not profile then None
+        else
+          Some
+            (match Hashtbl.find_opt table name with
+            | Some c -> c
+            | None ->
+              let c = Profile.Collector.create () in
+              if timeline then Profile.Collector.enable_timeline c;
+              Hashtbl.add table name c;
+              c)
+    in
+    let launch_of (w : Workloads.Workload.t) scheme prepared collector_for
+        (l : Workloads.Workload.kernel_launch) =
       let p = List.assoc l.kernel_name prepared in
-      let launch =
+      ( l.kernel_name,
         Gpu.default_launch ?smem_carveout:p.carveout ~trace
           ~runtime_throttle:
             (match scheme with
@@ -382,40 +460,103 @@ let exec_uncached (req : Request.t) =
              else [])
           ~prog:p.prog ~grid:l.grid ~block:l.block
           ?profile:(collector_for l.kernel_name)
-          l.args
+          l.args,
+        p.prepared_tlp )
+    in
+    try
+      (* every member on its own device (its own memory namespace), all
+         on one L2 *)
+      let dev0 = Gpu.create cfg in
+      let ms =
+        List.mapi
+          (fun k (((w : Workloads.Workload.t), mscheme), prepared) ->
+            let dev = if k = 0 then dev0 else Gpu.create_shared_l2 dev0 in
+            w.Workloads.Workload.setup dev (Gpu_util.Rng.create seed);
+            let collector_for = collectors () in
+            let launches =
+              List.map
+                (launch_of w mscheme prepared collector_for)
+                w.Workloads.Workload.launches
+            in
+            { w; mscheme; prepared; dev; launches; acc = ref []; collector_for })
+          (List.combine members prepared)
       in
-      let stats, tr = Gpu.launch dev launch in
-      note_kernel acc ~name:l.kernel_name ~tlp:p.prepared_tlp
-        ~trace:(if trace then Some tr else None)
-        ~profile:(collector_for l.kernel_name)
-        stats)
-    w.Workloads.Workload.launches;
-  let kernels_stats = List.map snd !acc in
-  (* observe the final device state (e.g. digest the memory image for the
-     golden-grid bit-identity snapshots) before it goes out of scope *)
-  (match on_device with Some f -> f dev | None -> ());
-  Obs.Metrics.incr m_cells;
-  Ok
-    {
-      workload = w.Workloads.Workload.name;
-      scheme;
-      kernels = kernels_stats;
-      total_cycles =
-        List.fold_left
-          (fun t ks -> t + ks.stats.Gpusim.Stats.cycles)
-          0 kernels_stats;
-      verified = w.Workloads.Workload.verify dev;
-      catt_analyses =
-        List.filter_map
-          (fun (name, p) ->
-            match p.analysis with Some a -> Some (name, a) | None -> None)
-          prepared;
-      manifest =
-        Some
-          (Manifest.make cfg ~workload:w.Workloads.Workload.name
-             ~scheme:(scheme_label scheme) ~seed
-             ~wall_seconds:(Unix.gettimeofday () -. started));
-    }
+      (* one fixed address split for the whole sequence: member 0 binds
+         from the default base, each later member above the top address
+         of the previous member's largest launch.  The shared L2 stays
+         warm across launches, so tail launches (unequal launch counts)
+         keep the same disjoint layout as the group phase. *)
+      let _, bases =
+        List.fold_left_map
+          (fun base m ->
+            ( List.fold_left
+                (fun top (_, launch, _) ->
+                  max top (Gpu.args_top m.dev ~base launch))
+                base m.launches,
+              base ))
+          cfg.Config.line_bytes ms
+      in
+      let rec go pending =
+        match
+          List.filter_map
+            (function
+              | m, base, l :: rest -> Some (m, base, l, rest)
+              | _, _, [] -> None)
+            pending
+        with
+        | [] -> ()
+        | active ->
+          let results =
+            Gpu.launch_group
+              (List.map
+                 (fun (m, base, (_, launch, _), _) ->
+                   { Gpu.dev = m.dev; launch; base })
+                 active)
+          in
+          List.iter2
+            (fun (m, _, (name, _, tlp), _) (stats, tr) ->
+              note_kernel m.acc ~name ~tlp
+                ~trace:(if trace then Some tr else None)
+                ~profile:(m.collector_for name) stats)
+            active results;
+          go (List.map (fun (m, base, _, rest) -> (m, base, rest)) active)
+      in
+      go (List.map2 (fun m base -> (m, base, m.launches)) ms bases);
+      (* observe the final device state (e.g. digest the memory image for
+         the golden-grid bit-identity snapshots) before it goes out of
+         scope *)
+      Option.iter (fun f -> List.iter (fun m -> f m.dev) ms) on_device;
+      Obs.Metrics.incr m_cells;
+      let solo = List.length ms = 1 in
+      Ok
+        (List.map
+           (fun m ->
+             let kernels = List.map snd !(m.acc) in
+             {
+               workload = m.w.Workloads.Workload.name;
+               scheme = m.mscheme;
+               kernels;
+               total_cycles =
+                 List.fold_left
+                   (fun t ks -> t + ks.stats.Gpusim.Stats.cycles)
+                   0 kernels;
+               verified = m.w.Workloads.Workload.verify m.dev;
+               catt_analyses =
+                 List.filter_map
+                   (fun (name, p) ->
+                     Option.map (fun a -> (name, a)) p.analysis)
+                   m.prepared;
+               (* provenance is per cell; a group's payload never carried it *)
+               manifest =
+                 (if solo then
+                    Some
+                      (Manifest.make cfg ~workload:workload_label
+                         ~scheme:label ~seed
+                         ~wall_seconds:(Unix.gettimeofday () -. started))
+                  else None);
+             })
+           ms)
+    with Gpu.Launch_error msg -> Error msg)
 
 (* ------------------------------------------------------------------ *)
 (* JSON round-trip (the persistent cache's wire format)                *)
@@ -527,29 +668,93 @@ let run_of_json cfg (w : Workloads.Workload.t) scheme json =
       })
     json
 
+(* A group's entry: every member's run under its letter, a, b, ... in
+   canonical member order.  Bump the version when the layout (or the
+   group launch semantics) changes. *)
+let pair_cache_format_version = 1
+
+let member_field k = String.make 1 (Char.chr (Char.code 'a' + k))
+
+(** The cache payload of a cell: a solo cell's {!run_to_json}, a group's
+    [{version, a, b, ...}]. *)
+let cell_to_json = function
+  | [ r ] -> run_to_json r
+  | runs ->
+    Json.Obj
+      (("version", Json.Int pair_cache_format_version)
+      :: List.mapi (fun k r -> (member_field k, run_to_json r)) runs)
+
+let cell_of_json cfg members json =
+  match members with
+  | [ (w, scheme) ] ->
+    Result.map (fun r -> [ r ]) (run_of_json cfg w scheme json)
+  | _ ->
+    Json.decode
+      (fun j ->
+        if Json.to_int (Json.member "version" j) <> pair_cache_format_version
+        then raise (Json.Type_error "stale pair cache format");
+        List.mapi
+          (fun k (w, scheme) ->
+            match run_of_json cfg w scheme (Json.member (member_field k) j) with
+            | Ok r -> r
+            | Error msg -> raise (Json.Type_error msg))
+          members)
+      json
+
+(** The cache identity of a cell.  A group is a *set* of members, so its
+    members are sorted into a canonical order: (A, B) and (B, A) address
+    one entry and simulate identically, and [order] (the caller's index
+    of each canonical member) swaps attribution back on the way out.  A
+    solo cell is its own canonical form. *)
+type identity = {
+  canonical : (Workloads.Workload.t * scheme) list;
+  order : int list;
+  workload_label : string;
+  scheme_label : string;
+}
+
+let identity members =
+  let canonical, order =
+    match members with
+    | [ _ ] -> (members, [ 0 ])
+    | _ ->
+      let key ((w : Workloads.Workload.t), s) =
+        w.Workloads.Workload.name ^ "+" ^ scheme_label s
+      in
+      List.split
+        (List.stable_sort
+           (fun (a, _) (b, _) -> compare (key a) (key b))
+           (List.mapi (fun k m -> (m, k)) members))
+  in
+  let workload_label, scheme_label = cell_labels canonical in
+  { canonical; order; workload_label; scheme_label }
+
+(* canonical-order runs back in the caller's member order *)
+let orient id runs =
+  match runs with
+  | [ _ ] -> runs
+  | _ ->
+    List.map snd
+      (List.sort (fun (a, _) (b, _) -> compare a b) (List.combine id.order runs))
+
 (* ------------------------------------------------------------------ *)
 (* Memoization: a thread-safe in-process table backed by the on-disk   *)
 (* cache.  Pool workers race on the table, so every access is locked;  *)
 (* simulation itself runs outside the lock (each run owns its device). *)
 (* ------------------------------------------------------------------ *)
 
-let memo : (string, app_run) Hashtbl.t = Hashtbl.create 64
-
-let pair_memo : (string, app_run * app_run) Hashtbl.t = Hashtbl.create 8
-(** co-resident cells, keyed like {!memo} but over the normalized pair *)
+(* keyed by a cell's canonical labels; no workload name contains '+', so
+   a group's "A+B" key never meets a solo cell's *)
+let memo : (string, app_run list) Hashtbl.t = Hashtbl.create 64
 
 let memo_lock = Mutex.create ()
 
 (* the in-process memo is tenant-qualified like the disk shards: tenant
    B's first request must not be short-circuited by tenant A's memo entry,
    or B's shard would never be populated *)
-let memo_key_raw ?tenant cfg ~workload ~scheme =
+let memo_key ?tenant cfg ~workload ~scheme =
   let base = Cache.key cfg ~workload ~scheme ~seed in
   match tenant with None -> base | Some t -> base ^ "|tenant=" ^ t
-
-let memo_key ?tenant cfg (w : Workloads.Workload.t) scheme =
-  memo_key_raw ?tenant cfg ~workload:w.Workloads.Workload.name
-    ~scheme:(scheme_label scheme)
 
 (* ------------------------------------------------------------------ *)
 (* Single-flight: dedup of identical in-flight cells                   *)
@@ -560,11 +765,7 @@ let memo_key ?tenant cfg (w : Workloads.Workload.t) scheme =
    share one simulation — each follower still adopts the result into its
    own memo entry and disk shard, so per-tenant isolation of stored
    results survives coalescing. *)
-let cell_flights : (app_run * source, string) result Gpu_util.Single_flight.t =
-  Gpu_util.Single_flight.create ()
-
-let pair_flights :
-    ((app_run * app_run) * source, string) result Gpu_util.Single_flight.t =
+let flights : (app_run list * source, string) result Gpu_util.Single_flight.t =
   Gpu_util.Single_flight.create ()
 
 let m_coalesced = Obs.Metrics.counter "runner.coalesced"
@@ -572,13 +773,11 @@ let m_coalesced = Obs.Metrics.counter "runner.coalesced"
 
 let coalesced_total () = Obs.Metrics.value m_coalesced
 
-(** Cells actually simulated ({!exec_uncached} completions, co-resident
-    pairs included) — the denominator the dedup proof counts. *)
+(** Cells actually simulated ({!simulate} completions) — the
+    denominator the dedup proof counts. *)
 let simulated_total () = Obs.Metrics.value m_cells
 
-let flights_in_progress () =
-  Gpu_util.Single_flight.in_flight cell_flights
-  + Gpu_util.Single_flight.in_flight pair_flights
+let flights_in_progress () = Gpu_util.Single_flight.in_flight flights
 
 (* live gauge: sampled at Metrics.snapshot time, so the admin plane sees
    the current dedup pressure, not a stale mirror *)
@@ -599,40 +798,39 @@ let progress : bool ref = ref false
 let clear_memo () =
   Mutex.lock memo_lock;
   Hashtbl.reset memo;
-  Hashtbl.reset pair_memo;
   Mutex.unlock memo_lock
 
-let log_run source (r : app_run) =
+let log_run id source runs =
   if !progress then
-    Printf.eprintf "[run] %-12s %-16s %10d cycles  (%s)\n%!" r.workload
-      (scheme_label r.scheme) r.total_cycles source
+    Printf.eprintf "[run] %-12s %-16s %10d cycles  (%s)\n%!" id.workload_label
+      id.scheme_label
+      (List.fold_left (fun t r -> t + r.total_cycles) 0 runs)
+      source
 
 let with_lock f =
   Mutex.lock memo_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock memo_lock) f
 
-(** Compute one run: in-process memo, then the single-flight table, then
-    the disk cache, then a real simulation (persisted on completion).
-    Concurrent identical cells — pool workers racing on the same
-    (config, workload, scheme), from any tenant — coalesce: exactly one
-    leader simulates, every follower blocks on the flight entry and
-    receives the leader's result as [Coalesced], adopting it into its
-    own tenant's memo entry and disk shard.  Preparation failures
-    (occupancy refusals, sanitizer diagnostics) come back as [Error]
-    with the located report, are fanned out to every waiter, and are
-    never cached.  The second component says where the result came
+(** Compute one cell: in-process memo, then the single-flight table,
+    then the disk cache, then a real simulation (persisted on
+    completion).  Concurrent identical cells — pool workers racing on
+    the same cell, from any tenant — coalesce: exactly one leader
+    simulates, every follower blocks on the flight entry and receives
+    the leader's result as [Coalesced], adopting it into its own
+    tenant's memo entry and disk shard.  Preparation failures and launch
+    refusals come back as [Error] with the located report, are fanned
+    out to every waiter, and are never cached.  Runs come back in the
+    request's member order; the second component says where they came
     from — the serve layer uses it for per-tenant hit/miss
     attribution. *)
 let exec_with_source (req : Request.t) =
-  let w = req.Request.workload
-  and cfg = req.Request.cfg
-  and scheme = req.Request.scheme
-  and tenant = req.Request.tenant in
+  let cfg = req.Request.cfg and tenant = req.Request.tenant in
+  let id = identity req.Request.members in
   Obs.Span.with_span "runner.run"
     ~attrs:
       [
-        ("workload", Obs.Span.Str w.Workloads.Workload.name);
-        ("scheme", Obs.Span.Str (scheme_label scheme));
+        ("workload", Obs.Span.Str id.workload_label);
+        ("scheme", Obs.Span.Str id.scheme_label);
       ]
   @@ fun run_span ->
   let note_source src =
@@ -642,28 +840,30 @@ let exec_with_source (req : Request.t) =
   in
   if Request.bypasses_cache req then begin
     note_source "simulated (uncached)";
-    Result.map (fun r -> (r, Simulated)) (exec_uncached req)
+    Result.map (fun runs -> (runs, Simulated)) (simulate req)
   end
   else begin
-    let key = memo_key ?tenant cfg w scheme in
+    let workload = id.workload_label and scheme = id.scheme_label in
+    let key = memo_key ?tenant cfg ~workload ~scheme in
     match with_lock (fun () -> Hashtbl.find_opt memo key) with
-    | Some r ->
+    | Some runs ->
       note_source "memo";
-      Ok (r, Memo)
+      Ok (orient id runs, Memo)
     | None -> (
-      let workload = w.Workloads.Workload.name
-      and label = scheme_label scheme in
-      let adopt r = with_lock (fun () -> Hashtbl.replace memo key r) in
+      let adopt runs = with_lock (fun () -> Hashtbl.replace memo key runs) in
+      let store runs =
+        Cache.store ?tenant cfg ~workload ~scheme ~seed (cell_to_json runs)
+      in
       (* the flight key is tenant-independent: identical cells coalesce
          across tenants, attribution and storage stay per tenant *)
-      let flight_key = memo_key cfg w scheme in
+      let flight_key = memo_key cfg ~workload ~scheme in
       let compute () =
         let from_disk =
-          match Cache.load ?tenant cfg ~workload ~scheme:label ~seed with
+          match Cache.load ?tenant cfg ~workload ~scheme ~seed with
           | None -> None
           | Some json -> (
-            match run_of_json cfg w scheme json with
-            | Ok r -> Some r
+            match cell_of_json cfg id.canonical json with
+            | Ok runs -> Some runs
             | Error _ ->
               (* stale or corrupt entry: recompute.  Cache.load counted a
                  hit for the successful parse, but the entry is unusable *)
@@ -671,14 +871,13 @@ let exec_with_source (req : Request.t) =
               None)
         in
         match from_disk with
-        | Some r -> Ok (r, Disk)
+        | Some runs -> Ok (runs, Disk)
         | None -> (
-          match exec_uncached req with
+          match simulate { req with Request.members = id.canonical } with
           | Error _ as e -> e
-          | Ok r ->
-            Cache.store ?tenant cfg ~workload ~scheme:label ~seed
-              (run_to_json r);
-            Ok (r, Simulated))
+          | Ok runs ->
+            store runs;
+            Ok (runs, Simulated))
       in
       let note_leader leader_tag =
         if leader_tag <> "" then
@@ -688,7 +887,7 @@ let exec_with_source (req : Request.t) =
             run_span
       in
       match
-        Gpu_util.Single_flight.run_tagged cell_flights flight_key
+        Gpu_util.Single_flight.run_tagged flights flight_key
           ~tag:(flight_tag ()) compute
       with
       | `Led (Error _ as e) -> e
@@ -696,301 +895,49 @@ let exec_with_source (req : Request.t) =
         Obs.Metrics.incr m_coalesced;
         note_leader leader_tag;
         e
-      | `Led (Ok (r, source)) ->
-        adopt r;
+      | `Led (Ok (runs, source)) ->
+        adopt runs;
         note_source (source_label source);
-        log_run (source_label source) r;
-        Ok (r, source)
-      | `Joined (leader_tag, Ok (r, _)) ->
+        log_run id (source_label source) runs;
+        Ok (orient id runs, source)
+      | `Joined (leader_tag, Ok (runs, _)) ->
         Obs.Metrics.incr m_coalesced;
         note_leader leader_tag;
         (* fan-out: this request did no simulation work, but its tenant
            still gets its own shard entry (so the next cold process hits
            disk) and its own memo entry *)
-        Cache.store ?tenant cfg ~workload ~scheme:label ~seed (run_to_json r);
-        adopt r;
+        store runs;
+        adopt runs;
         note_source (source_label Coalesced);
-        log_run (source_label Coalesced) r;
-        Ok (r, Coalesced))
+        log_run id (source_label Coalesced) runs;
+        Ok (orient id runs, Coalesced))
   end
 
-(** The single entry point every caller funnels through. *)
-let exec req = Result.map fst (exec_with_source req)
+(** The single entry point every caller funnels through: member 0's run,
+    which for a {!Request.make} request is the run. *)
+let exec req = Result.map (fun (runs, _) -> List.hd runs) (exec_with_source req)
 
 (* --- legacy entry points: flag-free thin wrappers over [exec] -------- *)
 
-let run_result cfg w scheme = exec (Request.make cfg w scheme)
+let run_uncached cfg w scheme =
+  Result.map List.hd (simulate (Request.make cfg w scheme))
 
-let run_uncached cfg w scheme = exec_uncached (Request.make cfg w scheme)
-
-(** {!run_result}, unwrapped: the one place a preparation failure turns
-    into an exception, carrying the full located diagnostic report. *)
+(** {!exec}, unwrapped: the one place a preparation failure turns into
+    an exception, carrying the full located diagnostic report. *)
 let run cfg w scheme =
-  match run_result cfg w scheme with
+  match exec (Request.make cfg w scheme) with
   | Ok r -> r
   | Error msg -> failwith msg
 
-(* ------------------------------------------------------------------ *)
-(* Co-resident pairs (CIAO direction: two kernels, one SM partition)   *)
-(* ------------------------------------------------------------------ *)
-
-(** Run two workloads co-resident on one simulated GPU: launches are
-    zipped in order, each common position co-scheduled through
-    {!Gpu.launch_pair} (half-SM partitions, one shared L1D/L2/DRAM),
-    and whichever workload has launches left over finishes solo on the
-    then-idle machine — under the same disjoint address split as the
-    pair phase, so the warm shared L2 can never serve it the other
-    kernel's lines.  Both CPU oracles still verify, and every counter
-    stays attributed to its kernel.  Only compile-time schemes are
-    accepted ({!Scheme.is_static}).  This entry point always simulates;
-    {!run_co_resident} layers the pair-aware cache (memo, disk shard,
-    single flight) on top. *)
-let run_co_resident_uncached cfg (wa : Workloads.Workload.t) scheme_a
-    (wb : Workloads.Workload.t) scheme_b =
-  let check_static w s =
-    if not (Scheme.is_static s) then
-      Error
-        (Printf.sprintf
-           "co-resident mode requires a compile-time scheme; %s requested %s"
-           w.Workloads.Workload.name (scheme_label s))
-    else Ok ()
-  in
-  match (check_static wa scheme_a, check_static wb scheme_b) with
-  | Error e, _ | _, Error e -> Error e
-  | Ok (), Ok () -> (
-    match (prepare_all cfg wa scheme_a, prepare_all cfg wb scheme_b) with
-    | Error e, _ | _, Error e -> Error e
-    | Ok prep_a, Ok prep_b -> (
-      Obs.Span.with_span "runner.co_resident"
-        ~attrs:
-          [
-            ("workload_a", Obs.Span.Str wa.Workloads.Workload.name);
-            ("workload_b", Obs.Span.Str wb.Workloads.Workload.name);
-          ]
-      @@ fun _ ->
-      let dev_a = Gpu.create cfg in
-      let dev_b = Gpu.create_shared_l2 dev_a in
-      wa.Workloads.Workload.setup dev_a (Gpu_util.Rng.create seed);
-      wb.Workloads.Workload.setup dev_b (Gpu_util.Rng.create seed);
-      let mk_launch w prepared scheme (l : Workloads.Workload.kernel_launch) =
-        let p = List.assoc l.kernel_name prepared in
-        ( Gpu.default_launch ?smem_carveout:p.carveout
-            ~bypass_arrays:
-              (if scheme = Bypass then
-                 Catt.Bypass.divergent_arrays cfg
-                   (Workloads.Workload.find_kernel w l.kernel_name)
-                   (Workloads.Workload.geometry_of l)
-               else [])
-            ~prog:p.prog ~grid:l.grid ~block:l.block l.args,
-          p.prepared_tlp )
-      in
-      let acc_a : (string * kernel_stats) list ref = ref [] in
-      let acc_b : (string * kernel_stats) list ref = ref [] in
-      let note acc (l : Workloads.Workload.kernel_launch) tlp stats =
-        note_kernel acc ~name:l.kernel_name ~tlp ~trace:None ~profile:None
-          stats
-      in
-      try
-        (* one fixed address split for the whole sequence: A binds from
-           the default base, B from above the top address of A's largest
-           launch.  The shared L2 stays warm across launches, so solo
-           tail launches (unequal launch counts) must keep the same
-           disjoint layout as the pair phase — otherwise the solo kernel
-           would alias the other kernel's still-resident lines and
-           collect spurious hits. *)
-        let base_b =
-          List.fold_left
-            (fun acc la ->
-              let launch_a, _ = mk_launch wa prep_a scheme_a la in
-              max acc
-                (Gpu.args_top dev_a ~base:cfg.Config.line_bytes launch_a))
-            cfg.Config.line_bytes wa.Workloads.Workload.launches
-        in
-        let rec go las lbs =
-          match (las, lbs) with
-          | [], [] -> ()
-          | la :: ras, lb :: rbs ->
-            let launch_a, tlp_a = mk_launch wa prep_a scheme_a la in
-            let launch_b, tlp_b = mk_launch wb prep_b scheme_b lb in
-            let stats_a, stats_b =
-              Gpu.launch_pair ~args_base_b:base_b dev_a launch_a dev_b
-                launch_b
-            in
-            note acc_a la tlp_a stats_a;
-            note acc_b lb tlp_b stats_b;
-            go ras rbs
-          | la :: ras, [] ->
-            let launch_a, tlp_a = mk_launch wa prep_a scheme_a la in
-            let stats, _ = Gpu.launch dev_a launch_a in
-            note acc_a la tlp_a stats;
-            go ras []
-          | [], lb :: rbs ->
-            let launch_b, tlp_b = mk_launch wb prep_b scheme_b lb in
-            let stats, _ = Gpu.launch ~args_base:base_b dev_b launch_b in
-            note acc_b lb tlp_b stats;
-            go [] rbs
-        in
-        go wa.Workloads.Workload.launches wb.Workloads.Workload.launches;
-        Obs.Metrics.incr m_cells;
-        let mk_run (w : Workloads.Workload.t) scheme prepared acc dev =
-          let kernels_stats = List.map snd !acc in
-          {
-            workload = w.Workloads.Workload.name;
-            scheme;
-            kernels = kernels_stats;
-            total_cycles =
-              List.fold_left
-                (fun t ks -> t + ks.stats.Gpusim.Stats.cycles)
-                0 kernels_stats;
-            verified = w.Workloads.Workload.verify dev;
-            catt_analyses =
-              List.filter_map
-                (fun (name, p) ->
-                  match p.analysis with Some a -> Some (name, a) | None -> None)
-                prepared;
-            manifest = None;
-          }
-        in
-        Ok
-          ( mk_run wa scheme_a prep_a acc_a dev_a,
-            mk_run wb scheme_b prep_b acc_b dev_b )
-      with Gpu.Launch_error msg -> Error msg))
-
-(* --- pair-aware caching --------------------------------------------- *)
-
-(* bump when the pair layout (or launch_pair semantics) changes *)
-let pair_cache_format_version = 1
-
-let pair_to_json (ra, rb) =
-  Json.Obj
-    [
-      ("version", Json.Int pair_cache_format_version);
-      ("a", run_to_json ra);
-      ("b", run_to_json rb);
-    ]
-
-let pair_of_json cfg (w1 : Workloads.Workload.t) s1 (w2 : Workloads.Workload.t)
-    s2 json =
-  match
-    Json.decode
-      (fun j ->
-        if Json.to_int (Json.member "version" j) <> pair_cache_format_version
-        then raise (Json.Type_error "stale pair cache format");
-        (Json.member "a" j, Json.member "b" j))
-      json
-  with
-  | Error _ as e -> e
-  | Ok (ja, jb) -> (
-    match (run_of_json cfg w1 s1 ja, run_of_json cfg w2 s2 jb) with
-    | Ok ra, Ok rb -> Ok (ra, rb)
-    | Error msg, _ | _, Error msg -> Error msg)
-
-(** The canonical (order-normalized) identity of a co-resident cell: the
-    pair is a *set* of two (workload, scheme) members, so (A, B) and
-    (B, A) address the same cache entry.  Returns the members in
-    canonical order, the cache labels, and whether the caller's order
-    was swapped to get there — lookups swap attribution back on the way
-    out. *)
-let pair_identity (wa : Workloads.Workload.t) sa (wb : Workloads.Workload.t) sb
-    =
-  let member (w : Workloads.Workload.t) s =
-    w.Workloads.Workload.name ^ "+" ^ scheme_label s
-  in
-  let swap = member wb sb < member wa sa in
-  let (w1, s1), (w2, s2) =
-    if swap then ((wb, sb), (wa, sa)) else ((wa, sa), (wb, sb))
-  in
-  let workload_label =
-    w1.Workloads.Workload.name ^ "+" ^ w2.Workloads.Workload.name
-  in
-  let scheme_pair_label =
-    Printf.sprintf "co(%s,%s)" (scheme_label s1) (scheme_label s2)
-  in
-  ((w1, s1), (w2, s2), workload_label, scheme_pair_label, swap)
-
-(** Cached co-resident execution: memo, then single flight around the
-    disk shard and the simulation, exactly like {!exec_with_source} for
-    single cells.  The cache key fingerprints BOTH members
-    (order-normalized), so co-resident results persist to disk shards
-    and count as hits; a lookup with the members swapped finds the same
-    entry and swaps per-kernel attribution back to the caller's order.
-    Simulation always runs in canonical member order, so (A, B) and
-    (B, A) return bit-identical per-kernel counters on miss as well as
-    on hit. *)
-let run_co_resident_with_source ?tenant cfg (wa : Workloads.Workload.t)
-    scheme_a (wb : Workloads.Workload.t) scheme_b =
-  let check_static (w : Workloads.Workload.t) s =
-    if not (Scheme.is_static s) then
-      Error
-        (Printf.sprintf
-           "co-resident mode requires a compile-time scheme; %s requested %s"
-           w.Workloads.Workload.name (scheme_label s))
-    else Ok ()
-  in
-  match (check_static wa scheme_a, check_static wb scheme_b) with
-  | Error e, _ | _, Error e -> Error e
-  | Ok (), Ok () -> (
-    let (w1, s1), (w2, s2), workload_label, scheme_pair_label, swap =
-      pair_identity wa scheme_a wb scheme_b
-    in
-    let orient (r1, r2) = if swap then (r2, r1) else (r1, r2) in
-    let key =
-      memo_key_raw ?tenant cfg ~workload:workload_label
-        ~scheme:scheme_pair_label
-    in
-    match with_lock (fun () -> Hashtbl.find_opt pair_memo key) with
-    | Some pr -> Ok (orient pr, Memo)
-    | None -> (
-      let adopt pr = with_lock (fun () -> Hashtbl.replace pair_memo key pr) in
-      let store pr =
-        Cache.store ?tenant cfg ~workload:workload_label
-          ~scheme:scheme_pair_label ~seed (pair_to_json pr)
-      in
-      let flight_key =
-        memo_key_raw cfg ~workload:workload_label ~scheme:scheme_pair_label
-      in
-      let compute () =
-        let from_disk =
-          match
-            Cache.load ?tenant cfg ~workload:workload_label
-              ~scheme:scheme_pair_label ~seed
-          with
-          | None -> None
-          | Some json -> (
-            match pair_of_json cfg w1 s1 w2 s2 json with
-            | Ok pr -> Some pr
-            | Error _ ->
-              Cache.note_evicted ();
-              None)
-        in
-        match from_disk with
-        | Some pr -> Ok (pr, Disk)
-        | None -> (
-          match run_co_resident_uncached cfg w1 s1 w2 s2 with
-          | Error _ as e -> e
-          | Ok pr ->
-            store pr;
-            Ok (pr, Simulated))
-      in
-      match
-        Gpu_util.Single_flight.run_tagged pair_flights flight_key
-          ~tag:(flight_tag ()) compute
-      with
-      | `Led (Error _ as e) -> e
-      | `Joined (_, (Error _ as e)) ->
-        Obs.Metrics.incr m_coalesced;
-        e
-      | `Led (Ok (pr, source)) ->
-        adopt pr;
-        Ok (orient pr, source)
-      | `Joined (_, Ok (pr, _)) ->
-        Obs.Metrics.incr m_coalesced;
-        store pr;
-        adopt pr;
-        Ok (orient pr, Coalesced)))
-
+(** Two workloads co-resident on one simulated GPU, through the cached
+    ladder: (A, B) and (B, A) share one entry, runs in the caller's
+    order. *)
 let run_co_resident cfg wa scheme_a wb scheme_b =
-  Result.map fst (run_co_resident_with_source cfg wa scheme_a wb scheme_b)
+  Result.map
+    (fun (runs, _) -> (List.nth runs 0, List.nth runs 1))
+    (Result.bind
+       (Request.group cfg [ (wa, scheme_a); (wb, scheme_b) ])
+       exec_with_source)
 
 (** Fan a (config, workload, scheme) grid out across a domain pool.
     Results come back element-wise in input order, identical to what the
@@ -999,7 +946,12 @@ let run_co_resident cfg wa scheme_a wb scheme_b =
     once.  [jobs <= 1] runs sequentially on the calling domain. *)
 let run_many ?(jobs = 1) cells =
   let keyed =
-    List.map (fun (cfg, w, scheme) -> (memo_key cfg w scheme, (cfg, w, scheme))) cells
+    List.map
+      (fun (cfg, (w : Workloads.Workload.t), scheme) ->
+        ( memo_key cfg ~workload:w.Workloads.Workload.name
+            ~scheme:(scheme_label scheme),
+          (cfg, w, scheme) ))
+      cells
   in
   let unique =
     List.rev
@@ -1019,33 +971,31 @@ let run_many ?(jobs = 1) cells =
 (* Sweeps and BFTT                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* the occupancy of every launch of [w] that can run at all *)
+let launch_occupancies cfg (w : Workloads.Workload.t) =
+  List.filter_map
+    (fun (l : Workloads.Workload.kernel_launch) ->
+      let kernel = Workloads.Workload.find_kernel w l.kernel_name in
+      Result.to_option
+        (occupancy cfg
+           (Gpusim.Codegen.compile_kernel kernel)
+           (Workloads.Workload.geometry_of l)))
+    w.Workloads.Workload.launches
+
+(* 1, 2, 4, ... up to [n] *)
+let powers_of_two n =
+  let rec from k = if k > n then [] else k :: from (2 * k) in
+  from 1
+
 (** Throttling-factor candidates for one workload, ordered from maximum to
     minimum TLP — the x-axis of Fig. 9 and BFTT's search space.  Warp
     splitting first, then TB reduction, mirroring Eq. 9's phases. *)
-let candidates cfg (w : Workloads.Workload.t) =
-  let max_warps, max_tbs =
-    List.fold_left
-      (fun (mw, mt) (l : Workloads.Workload.kernel_launch) ->
-        let geo = Workloads.Workload.geometry_of l in
-        let kernel = Workloads.Workload.find_kernel w l.kernel_name in
-        let prog = Gpusim.Codegen.compile_kernel kernel in
-        match
-          Catt.Occupancy.configure cfg
-            ~grid_tbs:(geo.Catt.Analysis.grid_x * geo.Catt.Analysis.grid_y)
-            ~tb_threads:(geo.Catt.Analysis.block_x * geo.Catt.Analysis.block_y)
-            ~num_regs:prog.Gpusim.Bytecode.num_regs
-            ~shared_bytes:prog.Gpusim.Bytecode.shared_bytes ()
-        with
-        | Ok occ ->
-          ( max mw occ.Catt.Occupancy.warps_per_tb,
-            max mt occ.Catt.Occupancy.tbs_per_sm )
-        | Error _ -> (mw, mt))
-      (1, 1) w.Workloads.Workload.launches
-  in
-  let rec warp_factors n acc =
-    if n > max_warps then List.rev acc else warp_factors (2 * n) (n :: acc)
-  in
-  let warp_part = List.map (fun n -> (n, 0)) (warp_factors 1 []) in
+let candidates cfg w =
+  let occs = launch_occupancies cfg w in
+  let max_of f = List.fold_left (fun acc occ -> max acc (f occ)) 1 occs in
+  let max_warps = max_of (fun o -> o.Catt.Occupancy.warps_per_tb)
+  and max_tbs = max_of (fun o -> o.Catt.Occupancy.tbs_per_sm) in
+  let warp_part = List.map (fun n -> (n, 0)) (powers_of_two max_warps) in
   (* TB-level factors matter most for single-warp TBs (where no warp
      splitting is possible), so allow a deeper sweep there *)
   let tb_range = if max_warps = 1 then 12 else 3 in
@@ -1063,44 +1013,27 @@ let sweep cfg w =
 
 (** Per-SM warp-limit candidates for Best-SWL: powers of two up to the
     workload's maximum concurrent warp count. *)
-let swl_candidates cfg (w : Workloads.Workload.t) =
-  let max_warps =
-    List.fold_left
-      (fun acc (l : Workloads.Workload.kernel_launch) ->
-        let geo = Workloads.Workload.geometry_of l in
-        let kernel = Workloads.Workload.find_kernel w l.kernel_name in
-        let prog = Gpusim.Codegen.compile_kernel kernel in
-        match
-          Catt.Occupancy.configure cfg
-            ~grid_tbs:(geo.Catt.Analysis.grid_x * geo.Catt.Analysis.grid_y)
-            ~tb_threads:(geo.Catt.Analysis.block_x * geo.Catt.Analysis.block_y)
-            ~num_regs:prog.Gpusim.Bytecode.num_regs
-            ~shared_bytes:prog.Gpusim.Bytecode.shared_bytes ()
-        with
-        | Ok occ -> max acc occ.Catt.Occupancy.concurrent_warps
-        | Error _ -> acc)
-      1 w.Workloads.Workload.launches
-  in
-  let rec limits k acc = if k > max_warps then List.rev acc else limits (2 * k) (k :: acc) in
-  limits 1 []
+let swl_candidates cfg w =
+  powers_of_two
+    (List.fold_left
+       (fun acc occ -> max acc occ.Catt.Occupancy.concurrent_warps)
+       1 (launch_occupancies cfg w))
 
-(** Best-SWL (Rogers et al., MICRO-45; discussed in the paper's
-    Section 2.2): the best static scheduler-level warp limit, found by
-    exhaustive offline search over per-SM warp counts. *)
-let best_swl cfg w =
-  let runs = List.map (fun k -> (k, run cfg w (Swl k))) (swl_candidates cfg w) in
-  List.fold_left
-    (fun ((_, best) as acc) ((_, r) as cand) ->
-      if r.total_cycles < best.total_cycles then cand else acc)
-    (List.hd runs) (List.tl runs)
-
-(** BFTT: the best-performing fixed combination, found by exhaustive
-    offline search (paper Section 5: "best-fixed thread throttling"). *)
-let bftt cfg w =
-  match sweep cfg w with
-  | [] -> invalid_arg "Runner.bftt: no candidates"
+(* the candidate with the fewest total cycles, the first on ties *)
+let fastest = function
+  | [] -> invalid_arg "Runner: no candidates"
   | first :: rest ->
     List.fold_left
       (fun ((_, best) as acc) ((_, r) as cand) ->
         if r.total_cycles < best.total_cycles then cand else acc)
       first rest
+
+(** Best-SWL (Rogers et al., MICRO-45; discussed in the paper's
+    Section 2.2): the best static scheduler-level warp limit, found by
+    exhaustive offline search over per-SM warp counts. *)
+let best_swl cfg w =
+  fastest (List.map (fun k -> (k, run cfg w (Swl k))) (swl_candidates cfg w))
+
+(** BFTT: the best-performing fixed combination, found by exhaustive
+    offline search (paper Section 5: "best-fixed thread throttling"). *)
+let bftt cfg w = fastest (sweep cfg w)

@@ -32,7 +32,9 @@ let label = function
   | Ciao -> "ciao"
   | Ata -> "ata"
 
-(** Total inverse of {!label} (case-insensitive on the fixed names). *)
+(** Inverse of {!label} (case-insensitive on the fixed names) on every
+    runnable scheme: [fixed(N,M)] needs N >= 1 and M >= 0, [swl(k)] needs
+    k >= 1, so an out-of-range value is refused where it is decoded. *)
 let of_string s : (t, string) result =
   match String.lowercase_ascii (String.trim s) with
   | "baseline" -> Ok Baseline
@@ -45,9 +47,18 @@ let of_string s : (t, string) result =
   | "ciao" -> Ok Ciao
   | "ata" -> Ok Ata
   | lower -> (
-    try Scanf.sscanf lower "fixed(n=%d,m=%d)%!" (fun n m -> Ok (Fixed (n, m)))
+    try
+      Scanf.sscanf lower "fixed(n=%d,m=%d)%!" (fun n m ->
+          if n < 1 || m < 0 then
+            Error
+              (Printf.sprintf "scheme %S: fixed(N,M) needs N >= 1 and M >= 0" s)
+          else Ok (Fixed (n, m)))
     with Scanf.Scan_failure _ | Failure _ | End_of_file -> (
-      try Scanf.sscanf lower "swl(%d)%!" (fun k -> Ok (Swl k))
+      try
+        Scanf.sscanf lower "swl(%d)%!" (fun k ->
+            if k < 1 then
+              Error (Printf.sprintf "scheme %S: swl(k) needs k >= 1" s)
+            else Ok (Swl k))
       with Scanf.Scan_failure _ | Failure _ | End_of_file ->
         Error
           (Printf.sprintf
@@ -83,9 +94,10 @@ let samples =
     ]
 
 (** Whether the scheme's throttling decision is made entirely at compile
-    time.  Runtime-throttled schemes carry per-SM scheduler state that the
-    co-resident pair mode cannot attribute to one kernel, so [launch_pair]
-    only accepts static schemes. *)
+    time.  Runtime-throttled schemes carry per-SM scheduler state that a
+    co-resident group cannot attribute to one kernel, so a
+    {!Gpusim.Gpu.launch_group} of more than one member only accepts static
+    schemes. *)
 let is_static = function
   | Baseline | Catt | Fixed _ | Bypass | CattSa -> true
   | Dynamic | CcwsSched | DawsSched | Swl _ | Ciao | Ata -> false

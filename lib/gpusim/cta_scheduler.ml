@@ -41,12 +41,12 @@ let warps_per_tb (cfg : Config.t) ~tb_threads =
   (tb_threads + cfg.warp_size - 1) / cfg.warp_size
 
 (** Occupancy for one of [parts] kernels co-resident on a spatially
-    partitioned SM (the CIAO-style sharing of {!Gpu.launch_pair}): the
+    partitioned SM (the CIAO-style sharing of {!Gpu.launch_group}): the
     kernel keeps its own shared-memory carveout, so Eq. 1 is undivided,
     while the register file, warp slots and TB slots are split evenly
     between the partitions.  A result of 0 means the kernel does not fit
     in its partition — callers must refuse the co-schedule rather than
-    round up. *)
+    round up.  With [parts = 1] this is {!max_tbs_per_sm}. *)
 let partitioned_max_tbs_per_sm cfg ~parts ~tb_threads ~num_regs ~shared_bytes
     ~smem_carveout =
   if parts < 1 then

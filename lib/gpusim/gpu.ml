@@ -18,11 +18,9 @@ let create cfg =
         ~mshrs:(cfg.Config.l1d_mshrs * cfg.Config.num_sms) ();
   }
 
-let config dev = dev.cfg
-
 (** A second device that shares this one's L2 (and config) but owns a
     fresh global-memory namespace, so a co-resident workload's array
-    names cannot collide with the first one's.  Made for {!launch_pair};
+    names cannot collide with the first one's.  Made for {!launch_group};
     either device works standalone too (the shared L2 then simply stays
     warm across their launches, like two streams on one GPU). *)
 let create_shared_l2 dev =
@@ -44,10 +42,6 @@ let arrays dev =
   List.sort
     (fun (a, _) (b, _) -> String.compare a b)
     (Hashtbl.fold (fun name data acc -> (name, data) :: acc) dev.memory [])
-
-let free_all dev = Hashtbl.reset dev.memory
-
-let flush_caches dev = Cache.flush dev.l2
 
 type arg = Arr of string | Scalar of float
 
@@ -128,25 +122,11 @@ let resolve_carveout dev l =
     let _, _, bx, by = geometry l in
     auto_carveout dev l ~tb_threads:(bx * by)
 
-let occupancy dev l =
-  let _, _, bx, by = geometry l in
-  let carveout = resolve_carveout dev l in
-  let tb_threads = bx * by in
-  let tbs =
-    Cta_scheduler.max_tbs_per_sm dev.cfg ~tb_threads
-      ~num_regs:l.prog.Bytecode.num_regs
-      ~shared_bytes:l.prog.Bytecode.shared_bytes ~smem_carveout:carveout
-  in
-  if tbs <= 0 then
-    launch_error "kernel %s: zero occupancy (TB needs more resources than an SM has)"
-      l.prog.Bytecode.name;
-  tbs
-
 (* Bind launch arguments: build the id-indexed global array table with
    line-aligned, non-overlapping base addresses, and the scalar register
-   preload list.  [base] is where the first array lands — [launch_pair]
-   binds its second kernel after the first one's top address, so the two
-   kernels' working sets occupy disjoint cache-visible ranges. *)
+   preload list.  [base] is where the first array lands — co-resident
+   members bind at disjoint bases, so their working sets occupy disjoint
+   cache-visible ranges. *)
 let bind_args_from dev ~base l =
   let prog = l.prog in
   let expected = List.length prog.Bytecode.args in
@@ -182,8 +162,8 @@ let bind_args_from dev ~base l =
   (arrays, !scalars, !next_base)
 
 (* The exclusive top address [bind_args_from] would reach — layout
-   planning only, nothing is bound.  Lets callers place a second
-   kernel's working set above every launch of the first one. *)
+   planning only, nothing is bound.  Lets callers place a later member's
+   working set above every launch of the one before it. *)
 let args_top dev ~base l =
   let _, _, top = bind_args_from dev ~base l in
   top
@@ -205,389 +185,272 @@ let bypass_flags l =
 let m_launches = Obs.Metrics.counter "gpu.launches"
 let m_sim_cycles = Obs.Metrics.counter "gpu.sim_cycles"
 
-let launch ?args_base dev l =
+type member = { dev : device; launch : launch; base : int }
+
+(* The SM context a member runs on.  Runtime throttles only ever reach a
+   group of one (see [check_group]), so [?l1] — a later member sharing
+   the first member's L1D — only meets the plain [`None] path. *)
+let create_sm ?l1 m job i ~l1_bytes ~max_tbs =
+  let cfg = m.dev.cfg and l = m.launch in
+  match l.runtime_throttle with
+  | `None -> Sm.create ?l1 job i ~l1_bytes
+  | `Dyncta ->
+    Sm.create
+      ~dyn:(Dynamic_throttle.create ~init_cap:max_tbs ())
+      job i ~l1_bytes
+  | `Ccws ->
+    Sm.create
+      ~ccws:(Ccws.create ~max_warps:(max_tbs * job.Sm.warps_per_tb) ())
+      job i ~l1_bytes
+  | `Daws ->
+    Sm.create
+      ~daws:
+        (Daws.create
+           ~l1_lines:(l1_bytes / cfg.Config.line_bytes)
+           ~extents:(Bytecode.loop_extents l.prog))
+      job i ~l1_bytes
+  | `Swl limit ->
+    if limit < 1 then launch_error "static warp limit must be >= 1";
+    Sm.create ~swl:limit job i ~l1_bytes
+  | `Ciao -> Sm.create ~ciao:(Interference.create ()) job i ~l1_bytes
+  | `Ata ->
+    (* the same L1D geometry plus two shadow tag-only ways per set *)
+    Sm.create
+      ~l1:
+        (Cache.create ~ata_ways:2 ~bytes:l1_bytes ~assoc:cfg.Config.l1d_assoc
+           ~line_bytes:cfg.Config.line_bytes ~mshrs:cfg.Config.l1d_mshrs ())
+      job i ~l1_bytes
+
+(* A co-resident group needs one memory namespace per member on one L2
+   (devices from [create_shared_l2], which also share the config), and
+   compile-time schemes only: runtime controllers, traces and profiles
+   carry per-SM state that cannot be attributed to one member. *)
+let check_group = function
+  | [] -> launch_error "launch_group: no members"
+  | [ _ ] -> ()
+  | first :: _ as members ->
+    let rec check = function
+      | [] -> ()
+      | m :: rest ->
+        if
+          m.dev.l2 != first.dev.l2
+          || List.exists (fun m' -> m'.dev == m.dev) rest
+        then
+          launch_error
+            "launch_group: members need separate devices sharing one L2 \
+             (create_shared_l2)";
+        if
+          m.launch.runtime_throttle <> `None
+          || m.launch.trace
+          || Option.is_some m.launch.profile
+        then
+          launch_error
+            "launch_group: kernel %s uses runtime throttling, tracing or \
+             profiling; co-resident groups support none of them"
+            m.launch.prog.Bytecode.name;
+        check rest
+    in
+    check members
+
+let launch_group members =
+  check_group members;
+  let ms = Array.of_list members in
+  let n = Array.length ms in
+  let cfg = ms.(0).dev.cfg in
+  let joined f = String.concat "+" (List.map (fun m -> f m.launch) members) in
+  let dims (x, y) = Printf.sprintf "%dx%d" x y in
   Obs.Span.with_span "gpu.launch"
     ~attrs:
       [
-        ("kernel", Obs.Span.Str l.prog.Bytecode.name);
-        ("grid", Obs.Span.Str (Printf.sprintf "%dx%d" (fst l.grid) (snd l.grid)));
-        ( "block",
-          Obs.Span.Str (Printf.sprintf "%dx%d" (fst l.block) (snd l.block)) );
+        ("kernel", Obs.Span.Str (joined (fun l -> l.prog.Bytecode.name)));
+        ("grid", Obs.Span.Str (joined (fun l -> dims l.grid)));
+        ("block", Obs.Span.Str (joined (fun l -> dims l.block)));
       ]
   @@ fun launch_span ->
   (* the cycle clock restarts per launch; the warm L2 must not carry
      in-flight fill times from the previous kernel *)
-  Cache.settle dev.l2;
-  let gx, gy, bx, by = geometry l in
-  let carveout = resolve_carveout dev l in
-  let max_tbs = occupancy dev l in
-  let base =
-    match args_base with Some b -> b | None -> dev.cfg.Config.line_bytes
-  in
-  let arrays, scalar_values, _ = bind_args_from dev ~base l in
-  let tb_threads = bx * by in
-  let warps_per_tb = Cta_scheduler.warps_per_tb dev.cfg ~tb_threads in
-  let stats = Stats.create () in
-  let trace =
-    if l.trace then Trace.create ~cap:dev.cfg.Config.trace_cap ~sm:0 ()
-    else Trace.disabled
-  in
-  let job =
-    {
-      Sm.cfg = dev.cfg;
-      prog = l.prog;
-      arrays;
-      shared_specs =
-        List.map (fun (_, id, size) -> (id, size)) l.prog.Bytecode.shared_arrays;
-      scalar_values;
-      grid_x = gx;
-      grid_y = gy;
-      block_x = bx;
-      block_y = by;
-      tb_threads;
-      warps_per_tb;
-      sched = l.sched;
-      stats;
-      trace;
-      l2 = dev.l2;
-      dram_free = ref 0;
-      bypass = bypass_flags l;
-      prof = l.profile;
-    }
-  in
-  let l1_bytes = Config.l1d_bytes dev.cfg ~smem_carveout:carveout in
-  let sms =
-    Array.init dev.cfg.Config.num_sms (fun i ->
-        match l.runtime_throttle with
-        | `None -> Sm.create job i ~l1_bytes
-        | `Dyncta ->
-          Sm.create ~dyn:(Dynamic_throttle.create ~init_cap:max_tbs ()) job i
-            ~l1_bytes
-        | `Ccws ->
-          Sm.create
-            ~ccws:(Ccws.create ~max_warps:(max_tbs * warps_per_tb) ())
-            job i ~l1_bytes
-        | `Daws ->
-          Sm.create
-            ~daws:
-              (Daws.create
-                 ~l1_lines:(l1_bytes / dev.cfg.Config.line_bytes)
-                 ~extents:(Bytecode.loop_extents l.prog))
-            job i ~l1_bytes
-        | `Swl limit ->
-          if limit < 1 then launch_error "static warp limit must be >= 1";
-          Sm.create ~swl:limit job i ~l1_bytes
-        | `Ciao ->
-          Sm.create ~ciao:(Interference.create ()) job i ~l1_bytes
-        | `Ata ->
-          (* the same L1D geometry plus two shadow tag-only ways per set *)
-          Sm.create
-            ~l1:
-              (Cache.create ~ata_ways:2 ~bytes:l1_bytes
-                 ~assoc:dev.cfg.Config.l1d_assoc
-                 ~line_bytes:dev.cfg.Config.line_bytes
-                 ~mshrs:dev.cfg.Config.l1d_mshrs ())
-            job i ~l1_bytes)
-  in
-  (match l.profile with
-  | Some p ->
-    let arrays_meta =
-      List.filter_map
-        (fun (name, id) ->
-          match arrays.(id) with
-          | Some ga ->
-            Some
-              {
-                Profile.Collector.name;
-                id;
-                base = ga.Sm.base;
-                bytes = Array.length ga.Sm.data * 4;
-              }
-          | None -> None)
-        l.prog.Bytecode.array_ids
-    in
-    Profile.Collector.init p ~num_sms:dev.cfg.Config.num_sms
-      ~l1_sets:(Cache.sets sms.(0).Sm.l1)
-      ~line_bytes:dev.cfg.Config.line_bytes ~arrays:arrays_meta
-      ~locs:l.prog.Bytecode.src_locs
-  | None -> ());
-  let total_tbs = gx * gy in
-  let next_tb = ref 0 in
-  let refill sm =
-    while sm.Sm.resident_tbs < max_tbs && !next_tb < total_tbs do
-      Sm.launch_tb sm !next_tb;
-      incr next_tb
-    done
-  in
-  (* initial distribution: one TB per SM round-robin until capacity *)
-  let continue_rr = ref true in
-  while !continue_rr && !next_tb < total_tbs do
-    continue_rr := false;
-    Array.iter
-      (fun sm ->
-        if sm.Sm.resident_tbs < max_tbs && !next_tb < total_tbs then begin
-          Sm.launch_tb sm !next_tb;
-          incr next_tb;
-          continue_rr := true
-        end)
-      sms
-  done;
-  (* event loop: always step the SM whose next issue is earliest.  Each
-     SM's next-event time is cached and recomputed only after that SM
-     steps (and is refilled): stepping one SM cannot change another's
-     ready times — warps, barriers and throttle controllers are all
-     per-SM state, and the shared L2/DRAM only affect transaction times
-     computed at issue.  The argmin scan is a flat int-array walk, first
-     index on ties, exactly the order the unfused scan visited. *)
-  let num_sms = Array.length sms in
-  let next_at = Array.make num_sms max_int in
-  let refresh i =
-    let sm = sms.(i) in
-    if Sm.has_warps sm then begin
-      let t = Sm.next_event sm in
-      if t = max_int then
-        Sm.sim_error "kernel %s: barrier deadlock on SM %d"
-          l.prog.Bytecode.name sm.Sm.id;
-      next_at.(i) <- t  (* already clamped to the SM's clock *)
-    end
-    else next_at.(i) <- max_int  (* drained *)
-  in
-  for i = 0 to num_sms - 1 do
-    refresh i
-  done;
-  let running = ref true in
-  while !running do
-    let best = ref (-1) in
-    let best_at = ref max_int in
-    for i = 0 to num_sms - 1 do
-      if next_at.(i) < !best_at then begin
-        best := i;
-        best_at := next_at.(i)
-      end
-    done;
-    if !best < 0 then running := false  (* all SMs drained *)
-    else begin
-      let sm = sms.(!best) in
-      (* the argmin already knows this SM's next event time: stepping at
-         it skips a second scheduler scan inside [Sm.step] *)
-      ignore (Sm.step_at sm ~t:!best_at);
-      refill sm;
-      refresh !best
-    end
-  done;
-  assert (!next_tb = total_tbs);
-  stats.Stats.cycles <-
-    Array.fold_left (fun acc sm -> max acc sm.Sm.now) 0 sms;
-  (match l.profile with
-  | Some p ->
-    Array.iter
-      (fun sm -> Profile.Collector.add_sm_cycles p ~sm:sm.Sm.id ~cycles:sm.Sm.now)
-      sms
-  | None -> ());
-  Obs.Metrics.incr m_launches;
-  Obs.Metrics.add m_sim_cycles stats.Stats.cycles;
-  Option.iter
-    (fun s -> Obs.Span.add_attr s "cycles" (Obs.Span.Int stats.Stats.cycles))
-    launch_span;
-  (stats, trace)
-
-(* ------------------------------------------------------------------ *)
-(* Co-resident launches (CIAO-style spatial sharing)                    *)
-(* ------------------------------------------------------------------ *)
-
-(** Two kernels co-scheduled on the same SMs, each in a half partition:
-    register file, warp slots and TB slots split evenly
-    ({!Cta_scheduler.partitioned_max_tbs_per_sm}), each kernel keeping
-    its own shared-memory carveout, with the remaining on-chip bytes a
-    single L1D the two contend for.  Both kernels also share the L2 and
-    the DRAM ports, so the interference regime CIAO targets — one
-    kernel's misses evicting the other's working set — shows up in the
-    per-kernel counters, which stay fully attributed (each context
-    charges its own {!Stats.t}).
-
-    Restrictions: both launches must come from devices created by
-    {!create_shared_l2} off one another (disjoint memory namespaces,
-    one L2), use compile-time schemes only ([runtime_throttle = `None] —
-    the runtime controllers carry per-SM state that cannot be attributed
-    to one kernel), and request neither traces nor profiles. *)
-let launch_pair ?args_base_b dev_a la dev_b lb =
-  if dev_a == dev_b then
-    launch_error
-      "launch_pair: the kernels need separate devices (create_shared_l2)";
-  if dev_a.l2 != dev_b.l2 then
-    launch_error "launch_pair: devices must share an L2 (create_shared_l2)";
-  if dev_a.cfg <> dev_b.cfg then
-    launch_error "launch_pair: devices must share one configuration";
-  let check_simple which l =
-    (match l.runtime_throttle with
-    | `None -> ()
-    | `Dyncta | `Ccws | `Daws | `Swl _ | `Ciao | `Ata ->
-      launch_error
-        "launch_pair: kernel %s (%s) uses runtime throttling; co-resident \
-         mode supports compile-time schemes only"
-        l.prog.Bytecode.name which);
-    if l.trace then
-      launch_error "launch_pair: tracing is not supported (kernel %s)"
-        l.prog.Bytecode.name;
-    if Option.is_some l.profile then
-      launch_error "launch_pair: profiling is not supported (kernel %s)"
-        l.prog.Bytecode.name
-  in
-  check_simple "A" la;
-  check_simple "B" lb;
-  let cfg = dev_a.cfg in
-  Obs.Span.with_span "gpu.launch_pair"
-    ~attrs:
-      [
-        ("kernel_a", Obs.Span.Str la.prog.Bytecode.name);
-        ("kernel_b", Obs.Span.Str lb.prog.Bytecode.name);
-      ]
-  @@ fun _ ->
-  Cache.settle dev_a.l2;
-  let gxa, gya, bxa, bya = geometry la in
-  let gxb, gyb, bxb, byb = geometry lb in
-  let carve_a = resolve_carveout dev_a la in
-  let carve_b = resolve_carveout dev_b lb in
-  let l1_bytes = cfg.Config.onchip_bytes - carve_a - carve_b in
+  Cache.settle ms.(0).dev.l2;
+  let geos = Array.map (fun m -> geometry m.launch) ms in
+  let carveouts = Array.map (fun m -> resolve_carveout m.dev m.launch) ms in
+  (* each member keeps its own shared-memory carveout; the rest of the
+     on-chip bytes is the one L1D the members contend for *)
+  let l1_bytes = cfg.Config.onchip_bytes - Array.fold_left ( + ) 0 carveouts in
   if l1_bytes <= 0 then
-    launch_error
-      "launch_pair: carveouts %dB + %dB leave no L1D of the %dB on-chip \
-       memory"
-      carve_a carve_b cfg.Config.onchip_bytes;
-  let part_tbs which l carve ~tb_threads =
-    let tbs =
-      Cta_scheduler.partitioned_max_tbs_per_sm cfg ~parts:2 ~tb_threads
-        ~num_regs:l.prog.Bytecode.num_regs
-        ~shared_bytes:l.prog.Bytecode.shared_bytes ~smem_carveout:carve
-    in
-    if tbs <= 0 then
-      launch_error
-        "launch_pair: kernel %s (%s) has zero occupancy in its half-SM \
-         partition"
-        l.prog.Bytecode.name which;
-    tbs
-  in
-  let max_tbs_a = part_tbs "A" la carve_a ~tb_threads:(bxa * bya) in
-  let max_tbs_b = part_tbs "B" lb carve_b ~tb_threads:(bxb * byb) in
-  (* disjoint cache-visible address ranges: B binds after A's top address
-     (or at the caller-chosen [args_base_b], clamped to stay above it —
-     callers interleaving pair and solo launches pass a fixed base so B's
-     arrays keep stable addresses across the whole sequence) *)
-  let arrays_a, scalars_a, top_a =
-    bind_args_from dev_a ~base:cfg.Config.line_bytes la
-  in
-  let base_b =
-    match args_base_b with Some b -> max b top_a | None -> top_a
-  in
-  let arrays_b, scalars_b, _ = bind_args_from dev_b ~base:base_b lb in
+    launch_error "launch_group: carveouts leave no L1D of the %dB on-chip memory"
+      cfg.Config.onchip_bytes;
   let dram_free = ref 0 in
-  let make_job dev l arrays scalars ~gx ~gy ~bx ~by stats =
-    let tb_threads = bx * by in
-    {
-      Sm.cfg;
-      prog = l.prog;
-      arrays;
-      shared_specs =
-        List.map (fun (_, id, size) -> (id, size)) l.prog.Bytecode.shared_arrays;
-      scalar_values = scalars;
-      grid_x = gx;
-      grid_y = gy;
-      block_x = bx;
-      block_y = by;
-      tb_threads;
-      warps_per_tb = Cta_scheduler.warps_per_tb cfg ~tb_threads;
-      sched = l.sched;
-      stats;
-      trace = Trace.disabled;
-      l2 = dev.l2;
-      dram_free;
-      bypass = bypass_flags l;
-      prof = None;
-    }
-  in
-  let stats_a = Stats.create () and stats_b = Stats.create () in
-  let job_a =
-    make_job dev_a la arrays_a scalars_a ~gx:gxa ~gy:gya ~bx:bxa ~by:bya
-      stats_a
-  in
-  let job_b =
-    make_job dev_b lb arrays_b scalars_b ~gx:gxb ~gy:gyb ~bx:bxb ~by:byb
-      stats_b
-  in
   let num_sms = cfg.Config.num_sms in
-  let sms_a = Array.init num_sms (fun i -> Sm.create job_a i ~l1_bytes) in
-  let sms_b =
-    Array.init num_sms (fun i ->
-        Sm.create ~l1:sms_a.(i).Sm.l1 job_b i ~l1_bytes)
+  let max_tbs = Array.make n 0 in
+  let sms = Array.make n [||] in
+  let outputs =
+    Array.mapi
+      (fun k m ->
+        let l = m.launch in
+        let gx, gy, bx, by = geos.(k) in
+        let tb_threads = bx * by in
+        (* registers, warp slots and TB slots split evenly between the
+           members (Eq. 3 itself for a group of one) *)
+        max_tbs.(k) <-
+          Cta_scheduler.partitioned_max_tbs_per_sm cfg ~parts:n ~tb_threads
+            ~num_regs:l.prog.Bytecode.num_regs
+            ~shared_bytes:l.prog.Bytecode.shared_bytes
+            ~smem_carveout:carveouts.(k);
+        if max_tbs.(k) <= 0 then
+          launch_error
+            "kernel %s: zero occupancy (TB needs more resources than its 1/%d \
+             SM partition has)"
+            l.prog.Bytecode.name n;
+        let arrays, scalar_values, _ = bind_args_from m.dev ~base:m.base l in
+        let stats = Stats.create () in
+        let trace =
+          if l.trace then Trace.create ~cap:cfg.Config.trace_cap ~sm:0 ()
+          else Trace.disabled
+        in
+        let job =
+          {
+            Sm.cfg;
+            prog = l.prog;
+            arrays;
+            shared_specs =
+              List.map
+                (fun (_, id, size) -> (id, size))
+                l.prog.Bytecode.shared_arrays;
+            scalar_values;
+            grid_x = gx;
+            grid_y = gy;
+            block_x = bx;
+            block_y = by;
+            tb_threads;
+            warps_per_tb = Cta_scheduler.warps_per_tb cfg ~tb_threads;
+            sched = l.sched;
+            stats;
+            trace;
+            l2 = m.dev.l2;
+            dram_free;
+            bypass = bypass_flags l;
+            prof = l.profile;
+          }
+        in
+        sms.(k) <-
+          Array.init num_sms (fun i ->
+              let l1 = if k = 0 then None else Some sms.(0).(i).Sm.l1 in
+              create_sm ?l1 m job i ~l1_bytes ~max_tbs:max_tbs.(k));
+        Option.iter
+          (fun p ->
+            let arrays_meta =
+              List.filter_map
+                (fun (name, id) ->
+                  match arrays.(id) with
+                  | Some ga ->
+                    Some
+                      {
+                        Profile.Collector.name;
+                        id;
+                        base = ga.Sm.base;
+                        bytes = Array.length ga.Sm.data * 4;
+                      }
+                  | None -> None)
+                l.prog.Bytecode.array_ids
+            in
+            Profile.Collector.init p ~num_sms
+              ~l1_sets:(Cache.sets sms.(k).(0).Sm.l1)
+              ~line_bytes:cfg.Config.line_bytes ~arrays:arrays_meta
+              ~locs:l.prog.Bytecode.src_locs)
+          l.profile;
+        (stats, trace))
+      ms
   in
-  let total_a = gxa * gya and total_b = gxb * gyb in
-  let next_a = ref 0 and next_b = ref 0 in
-  let refill max_tbs next_tb total sm =
-    while sm.Sm.resident_tbs < max_tbs && !next_tb < total do
-      Sm.launch_tb sm !next_tb;
-      incr next_tb
-    done
-  in
-  let distribute sms max_tbs next_tb total =
+  let totals = Array.map (fun (gx, gy, _, _) -> gx * gy) geos in
+  let next_tb = Array.make n 0 in
+  (* initial distribution, member by member: one TB per SM round-robin
+     until capacity *)
+  for k = 0 to n - 1 do
     let continue_rr = ref true in
-    while !continue_rr && !next_tb < total do
+    while !continue_rr && next_tb.(k) < totals.(k) do
       continue_rr := false;
       Array.iter
         (fun sm ->
-          if sm.Sm.resident_tbs < max_tbs && !next_tb < total then begin
-            Sm.launch_tb sm !next_tb;
-            incr next_tb;
+          if sm.Sm.resident_tbs < max_tbs.(k) && next_tb.(k) < totals.(k)
+          then begin
+            Sm.launch_tb sm next_tb.(k);
+            next_tb.(k) <- next_tb.(k) + 1;
             continue_rr := true
           end)
-        sms
+        sms.(k)
     done
-  in
-  distribute sms_a max_tbs_a next_a total_a;
-  distribute sms_b max_tbs_b next_b total_b;
-  (* one event loop over the 2N contexts (A's first — ties break toward
-     A, deterministically), same argmin structure as [launch]: stepping
-     one context cannot change another's cached next-event time *)
-  let n_ctx = 2 * num_sms in
-  let ctx k = if k < num_sms then sms_a.(k) else sms_b.(k - num_sms) in
+  done;
+  (* event loop over the n x num_sms contexts, member-major: always step
+     the context whose next issue is earliest, first index on ties (so
+     ties break toward member 0).  Each context's next-event time is
+     cached and recomputed only after that context steps (and is
+     refilled): stepping one context cannot change another's ready times
+     — warps, barriers and throttle controllers are all per-context
+     state, and the shared L1D/L2/DRAM only affect transaction times
+     computed at issue.  The argmin scan is a flat int-array walk. *)
+  let ctxs = Array.concat (Array.to_list sms) in
+  let n_ctx = Array.length ctxs in
+  let member_of = Array.init n_ctx (fun c -> c / num_sms) in
   let next_at = Array.make n_ctx max_int in
-  let refresh k =
-    let sm = ctx k in
+  let refresh c =
+    let sm = ctxs.(c) in
     if Sm.has_warps sm then begin
       let t = Sm.next_event sm in
       if t = max_int then
         Sm.sim_error "kernel %s: barrier deadlock on SM %d"
           sm.Sm.job.Sm.prog.Bytecode.name sm.Sm.id;
-      next_at.(k) <- t
+      next_at.(c) <- t  (* already clamped to the SM's clock *)
     end
-    else next_at.(k) <- max_int
+    else next_at.(c) <- max_int  (* drained *)
   in
-  for k = 0 to n_ctx - 1 do
-    refresh k
+  for c = 0 to n_ctx - 1 do
+    refresh c
   done;
   let running = ref true in
   while !running do
     let best = ref (-1) in
     let best_at = ref max_int in
-    for k = 0 to n_ctx - 1 do
-      if next_at.(k) < !best_at then begin
-        best := k;
-        best_at := next_at.(k)
+    for c = 0 to n_ctx - 1 do
+      if next_at.(c) < !best_at then begin
+        best := c;
+        best_at := next_at.(c)
       end
     done;
-    if !best < 0 then running := false
+    if !best < 0 then running := false  (* all contexts drained *)
     else begin
-      let sm = ctx !best in
+      let sm = ctxs.(!best) in
+      (* the argmin already knows this context's next event time:
+         stepping at it skips a second scheduler scan inside [Sm.step] *)
       ignore (Sm.step_at sm ~t:!best_at);
-      if !best < num_sms then refill max_tbs_a next_a total_a sm
-      else refill max_tbs_b next_b total_b sm;
+      let k = member_of.(!best) in
+      while sm.Sm.resident_tbs < max_tbs.(k) && next_tb.(k) < totals.(k) do
+        Sm.launch_tb sm next_tb.(k);
+        next_tb.(k) <- next_tb.(k) + 1
+      done;
       refresh !best
     end
   done;
-  assert (!next_a = total_a && !next_b = total_b);
-  stats_a.Stats.cycles <-
-    Array.fold_left (fun acc sm -> max acc sm.Sm.now) 0 sms_a;
-  stats_b.Stats.cycles <-
-    Array.fold_left (fun acc sm -> max acc sm.Sm.now) 0 sms_b;
-  Obs.Metrics.add m_launches 2;
-  Obs.Metrics.add m_sim_cycles (stats_a.Stats.cycles + stats_b.Stats.cycles);
-  (stats_a, stats_b)
+  let cycles = ref 0 in
+  Array.iteri
+    (fun k m ->
+      assert (next_tb.(k) = totals.(k));
+      let stats, _ = outputs.(k) in
+      stats.Stats.cycles <-
+        Array.fold_left (fun acc sm -> max acc sm.Sm.now) 0 sms.(k);
+      cycles := !cycles + stats.Stats.cycles;
+      Option.iter
+        (fun p ->
+          Array.iter
+            (fun sm ->
+              Profile.Collector.add_sm_cycles p ~sm:sm.Sm.id ~cycles:sm.Sm.now)
+            sms.(k))
+        m.launch.profile)
+    ms;
+  Obs.Metrics.add m_launches n;
+  Obs.Metrics.add m_sim_cycles !cycles;
+  Option.iter
+    (fun s -> Obs.Span.add_attr s "cycles" (Obs.Span.Int !cycles))
+    launch_span;
+  Array.to_list outputs
+
+let launch dev l =
+  List.hd (launch_group [ { dev; launch = l; base = dev.cfg.Config.line_bytes } ])

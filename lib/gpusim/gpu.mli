@@ -15,12 +15,11 @@ exception Launch_error of string
 type device
 
 val create : Config.t -> device
-val config : device -> Config.t
 
 val create_shared_l2 : device -> device
 (** A second device sharing this one's config and L2 but owning a fresh
-    global-memory namespace — the co-resident workload's arrays cannot
-    collide with the first one's.  Intended for {!launch_pair}. *)
+    global-memory namespace — a co-resident member's arrays cannot
+    collide with the first one's.  Intended for {!launch_group}. *)
 
 val alloc : device -> string -> int -> unit
 (** [alloc dev name len] creates a zero-filled device array.  Raises
@@ -36,12 +35,6 @@ val get : device -> string -> float array
 val arrays : device -> (string * float array) list
 (** Every live device array (no copies), sorted by name — the whole final
     memory image, e.g. for bit-identity digests. *)
-
-val free_all : device -> unit
-
-val flush_caches : device -> unit
-(** Invalidate L2 (per-launch L1s are always cold).  Used between repeats
-    so that timing runs are independent. *)
 
 type arg = Arr of string | Scalar of float
 
@@ -94,37 +87,31 @@ val default_launch :
     ([None]/GTO/no trace/no runtime throttle/no bypass); pass the labeled
     argument instead of rebuilding the record with [{ ... with ... }]. *)
 
-val occupancy : device -> launch -> int
-(** Resident TBs per SM (Eq. 3) for this launch.  Raises {!Launch_error}
-    on an unlaunchable configuration. *)
-
 val args_top : device -> base:int -> launch -> int
 (** The exclusive top address the launch's arrays would occupy when bound
-    from [base] (the same line-aligned layout {!launch} uses).  Binds
-    nothing — layout planning for co-resident sequences.  Raises
+    from [base] (the same line-aligned layout {!launch_group} uses).
+    Binds nothing — layout planning for co-resident sequences.  Raises
     {!Launch_error} on a bad argument list. *)
 
-val launch : ?args_base:int -> device -> launch -> Stats.t * Trace.t
-(** Runs to completion.  Arrays bind line-aligned starting at
-    [args_base] (default: one line past address 0 — the layout every solo
-    run uses); co-resident drivers pass the base a previous
-    {!launch_pair} placed this kernel at, keeping its address range
-    disjoint from the partner's still-warm lines in the shared L2.
-    Raises {!Launch_error} for bad argument lists and {!Sm.Sim_error} for
-    runtime faults (out-of-bounds, division by zero, barrier deadlock). *)
+type member = {
+  dev : device;
+  launch : launch;
+  base : int;  (** address the member's first array binds at *)
+}
 
-val launch_pair :
-  ?args_base_b:int -> device -> launch -> device -> launch -> Stats.t * Stats.t
-(** [launch_pair dev_a la dev_b lb] co-schedules two kernels on the same
-    SMs, each in a half partition (registers, warp slots and TB slots
-    split evenly; each kernel keeps its own shared-memory carveout), with
-    the remaining on-chip bytes one L1D both contend for — plus the
-    shared L2 and DRAM ports.  Per-kernel counters stay fully attributed.
-    B's arrays bind above A's top address, or at [args_base_b] when given
-    (clamped to stay above A) — pass a fixed base, e.g. the maximum
-    {!args_top} over A's launches, so B's addresses stay stable across a
-    launch sequence and disjoint from A's even in solo tail launches.
-    [dev_b] must come from [create_shared_l2 dev_a] (or vice versa); both
-    launches must use compile-time schemes ([runtime_throttle = `None])
-    and request neither traces nor profiles.  Raises {!Launch_error}
-    when a kernel does not fit its partition. *)
+val launch_group : member list -> (Stats.t * Trace.t) list
+(** Runs an ordered group of kernels to completion on the same SMs, one
+    result per member in member order.  Every member must have its own
+    device, all sharing one L2 ({!create_shared_l2}).  Registers, warp
+    slots and TB slots split evenly between the members, each member
+    keeps its own shared-memory carveout, and the remaining on-chip bytes
+    are one L1D the members contend for, plus the shared L2 and DRAM
+    ports.  Per-member counters stay fully attributed.  A group of one is
+    an ordinary solo launch.  A group of more than one refuses runtime
+    throttles, traces and profiles.  Raises {!Launch_error} for bad
+    argument lists and unlaunchable configurations, and {!Sm.Sim_error}
+    for runtime faults (out-of-bounds, division by zero, barrier
+    deadlock). *)
+
+val launch : device -> launch -> Stats.t * Trace.t
+(** A group of one, its arrays bound from one line past address 0. *)

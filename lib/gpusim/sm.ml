@@ -171,7 +171,7 @@ let make_dummy_warp () =
   }
 
 (* [?l1] shares an existing L1D instead of creating one: co-resident
-   kernel contexts on the same physical SM ({!Gpu.launch_pair}) contend
+   kernel contexts on the same physical SM ({!Gpu.launch_group}) contend
    for one cache, which is exactly the interference being modeled. *)
 let create ?dyn ?ccws ?daws ?swl ?ciao ?l1 job id ~l1_bytes =
   let ws = job.cfg.Config.warp_size in

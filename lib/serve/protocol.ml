@@ -30,8 +30,8 @@ type simulate_body = {
   workload : string;
   scheme : Scheme.t;
   co_resident : (string * Scheme.t) option;
-      (** co-schedule a second (workload, scheme) on the same SM
-          partition ({!Gpusim.Gpu.launch_pair}) *)
+      (** co-schedule a second (workload, scheme) on the same SMs, as a
+          two-member {!Gpusim.Gpu.launch_group} *)
 }
 
 type kind =
@@ -157,6 +157,19 @@ let member_str_opt name j =
   | None | Some Json.Null -> None
   | Some v -> Some (Json.to_str v)
 
+let max_string_bytes = 256
+(** Longest [id], [tenant] or [trace_id] a request may carry: each is
+    echoed, logged and kept per tenant, so an unbounded one is refused
+    at decode time (and never echoed back). *)
+
+let bounded_str_opt name j =
+  match member_str_opt name j with
+  | Some s when String.length s > max_string_bytes ->
+    raise
+      (Json.Type_error
+         (Printf.sprintf "%s is longer than %d bytes" name max_string_bytes))
+  | v -> v
+
 let check_version j =
   match Json.member_opt "schema_version" j with
   | None -> Error "missing schema_version"
@@ -178,10 +191,11 @@ let request_of_json j : (request, string) result =
     match check_version j with
     | Error _ as e -> e
     | Ok () -> (
-      let id = Option.value ~default:"" (member_str_opt "id" j) in
+      let id = Option.value ~default:"" (bounded_str_opt "id" j) in
       let tenant =
-        Option.value ~default:default_tenant (member_str_opt "tenant" j)
+        Option.value ~default:default_tenant (bounded_str_opt "tenant" j)
       in
+      let trace_id = bounded_str_opt "trace_id" j in
       let require_workload k =
         match member_str_opt "workload" j with
         | Some w -> Ok (k w)
@@ -222,7 +236,7 @@ let request_of_json j : (request, string) result =
       match kind with
       | Error _ as e -> e
       | Ok kind ->
-        Ok { id; tenant; trace_id = member_str_opt "trace_id" j; kind })
+        Ok { id; tenant; trace_id; kind })
   with Json.Type_error msg -> Error msg
 
 let response_of_json j : (response, string) result =
@@ -257,16 +271,17 @@ let request_of_line line : (request, string) result =
 
 (** Best-effort [id] (and tenant) recovery from a line whose decode
     failed — e.g. an unsupported [schema_version].  Lets the error
-    envelope still correlate with the request; both default to
-    unknown/[default_tenant] when even that much is unreadable. *)
+    envelope still correlate with the request; each defaults to
+    unknown/[default_tenant] when unreadable or over-long. *)
 let salvage_identity line =
   match Json.of_string line with
   | Error _ -> ("", default_tenant)
-  | Ok j -> (
-    try
-      ( Option.value ~default:"" (member_str_opt "id" j),
-        Option.value ~default:default_tenant (member_str_opt "tenant" j) )
-    with Json.Type_error _ -> ("", default_tenant))
+  | Ok j ->
+    let field name ~default =
+      try Option.value ~default (bounded_str_opt name j)
+      with Json.Type_error _ -> default
+    in
+    (field "id" ~default:"", field "tenant" ~default:default_tenant)
 
 let request_to_line r = Json.to_string (request_to_json r)
 let response_to_line r = Json.to_string (response_to_json r)

@@ -195,49 +195,39 @@ let take_source () =
   s
 
 let handle_simulate cfg tenant (b : Protocol.simulate_body) : outcome =
-  match find_workload b.Protocol.workload with
+  let rec resolve = function
+    | [] -> Ok []
+    | (name, scheme) :: rest ->
+      Result.bind (find_workload name) (fun w ->
+          Result.map (List.cons (w, scheme)) (resolve rest))
+  in
+  match
+    resolve
+      ((b.Protocol.workload, b.Protocol.scheme)
+      :: Option.to_list b.Protocol.co_resident)
+  with
   | Error _ as e -> e
-  | Ok w -> (
-    match b.Protocol.co_resident with
-    | None -> (
-      match
-        Runner.exec_with_source (Runner.Request.make ~tenant cfg w b.Protocol.scheme)
-      with
-      | Error msg -> Error (Protocol.Bad_request, msg)
-      | Ok (r, source) ->
-        let cached =
-          match source with
-          | Runner.Memo | Runner.Disk | Runner.Coalesced -> true
-          | Runner.Simulated -> false
-        in
-        note_source source;
-        Ok (run_summary r, cached))
-    | Some (name_b, scheme_b) -> (
-      match find_workload name_b with
-      | Error _ as e -> e
-      | Ok wb -> (
-        match
-          Runner.run_co_resident_with_source ~tenant cfg w b.Protocol.scheme wb
-            scheme_b
-        with
-        | Error msg -> Error (Protocol.Bad_request, msg)
-        | Ok ((ra, rb), source) ->
-          (* pair results are cached under an order-normalized key, so a
-             repeat — even with the members swapped — is a hit *)
-          let cached =
-            match source with
-            | Runner.Memo | Runner.Disk | Runner.Coalesced -> true
-            | Runner.Simulated -> false
-          in
-          note_source source;
-          Ok
-            ( Json.Obj
-                [
-                  ("co_resident", Json.Bool true);
-                  ("a", run_summary ra);
-                  ("b", run_summary rb);
-                ],
-              cached ))))
+  | Ok members -> (
+    match
+      Result.bind (Runner.Request.group ~tenant cfg members)
+        Runner.exec_with_source
+    with
+    | Error msg -> Error (Protocol.Bad_request, msg)
+    | Ok (runs, source) ->
+      note_source source;
+      (* a group's members are cached under an order-normalized key, so a
+         repeat — even with the members swapped — is a hit *)
+      let payload =
+        match runs with
+        | [ r ] -> run_summary r
+        | runs ->
+          Json.Obj
+            (("co_resident", Json.Bool true)
+            :: List.mapi
+                 (fun k r -> (Runner.member_field k, run_summary r))
+                 runs)
+      in
+      Ok (payload, source <> Runner.Simulated))
 
 let stats_version = 1
 (** Version of the [stats] response envelope (independent of the wire

@@ -71,15 +71,15 @@ let test_differential () =
               in
               let bare =
                 match
-                  Runner.exec_uncached (Runner.Request.make cfg w scheme)
+                  Runner.simulate (Runner.Request.make cfg w scheme)
                 with
-                | Ok r -> r
+                | Ok runs -> List.hd runs
                 | Error msg -> Alcotest.failf "%s: bare run failed: %s" name msg
               in
               let mem = ref "" in
               let profiled =
                 match
-                  Runner.exec_uncached
+                  Runner.simulate
                     (Runner.Request.make ~profile:true
                        ~on_device:(fun dev ->
                          mem :=
@@ -87,7 +87,7 @@ let test_differential () =
                              (Experiments.Golden_grid.digest_memory dev))
                        cfg w scheme)
                 with
-                | Ok r -> r
+                | Ok runs -> List.hd runs
                 | Error msg ->
                   Alcotest.failf "%s: profiled run failed: %s" name msg
               in

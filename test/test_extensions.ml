@@ -229,6 +229,19 @@ let test_swl_invalid_rejected () =
     (Gpusim.Gpu.Launch_error "static warp limit must be >= 1") (fun () ->
       ignore (Gpusim.Gpu.launch dev launch))
 
+(* the runner turns the same refusal into an [Error], never an escaping
+   exception *)
+let test_swl_invalid_is_runner_error () =
+  let w = Workloads.Registry.find "ATAX" in
+  match
+    Experiments.Runner.exec
+      (Experiments.Runner.Request.make cfg w (Experiments.Runner.Swl 0))
+  with
+  | Ok _ -> Alcotest.fail "swl(0) must be refused"
+  | Error msg ->
+    Alcotest.(check string) "the launch refusal" "static warp limit must be >= 1"
+      msg
+
 (* -------------------------- bypassing ------------------------------ *)
 
 let test_bypass_selection () =
@@ -383,6 +396,8 @@ let tests =
         Alcotest.test_case "limit 1 completes" `Quick test_swl_limit_one_still_completes;
         Alcotest.test_case "best-SWL minimizes" `Quick test_best_swl_is_minimum;
         Alcotest.test_case "invalid limit" `Quick test_swl_invalid_rejected;
+        Alcotest.test_case "invalid limit is a runner error" `Quick
+          test_swl_invalid_is_runner_error;
       ] );
     ( "ext.bypass",
       [

@@ -162,7 +162,28 @@ let test_bad_requests_refused () =
     {|{"schema_version":1,"id":"x","kind":"simulate"}|};
   expect_parse_error "bad scheme"
     {|{"schema_version":1,"id":"x","kind":"simulate","workload":"ATAX","scheme":"warp9"}|};
-  expect_parse_error "not json" {|{"schema_version":1,|}
+  expect_parse_error "not json" {|{"schema_version":1,|};
+  List.iter
+    (fun scheme ->
+      expect_parse_error scheme
+        (Printf.sprintf
+           {|{"schema_version":1,"id":"x","kind":"simulate","workload":"ATAX","scheme":"%s"}|}
+           scheme))
+    [ "swl(0)"; "swl(-3)"; "fixed(N=-1,M=-7)"; "fixed(N=0,M=0)" ];
+  let long = String.make (Protocol.max_string_bytes + 1) 'x' in
+  List.iter
+    (fun field ->
+      expect_parse_error ("over-long " ^ field)
+        (Printf.sprintf {|{"schema_version":1,"%s":"%s","kind":"stats"}|} field
+           long))
+    [ "id"; "tenant"; "trace_id" ];
+  match
+    Protocol.request_of_line
+      (Printf.sprintf {|{"schema_version":1,"tenant":"%s","kind":"stats"}|}
+         (String.make Protocol.max_string_bytes 'x'))
+  with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "a tenant at the bound is accepted: %s" msg
 
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                   *)
@@ -551,6 +572,25 @@ let test_serve_fd_pipe () =
   let srv = Server.create ~cfg ~jobs:2 ~queue_cap:8 () in
   let in_r, in_w = Unix.pipe () in
   let out_r, out_w = Unix.pipe () in
+  (* out-of-range values, each refused at decode time *)
+  let long = String.make 5000 'x' in
+  let simulate id scheme =
+    Printf.sprintf
+      {|{"schema_version":1,"id":"%s","tenant":"pipe","kind":"simulate","workload":"ATAX","scheme":"%s"}|}
+      id scheme
+  in
+  let refused =
+    [
+      ("swl0", simulate "swl0" "swl(0)");
+      ("swl-3", simulate "swl-3" "swl(-3)");
+      ("fixed-neg", simulate "fixed-neg" "fixed(N=-1,M=-7)");
+      ("fixed0", simulate "fixed0" "fixed(N=0,M=0)");
+      ( "long",
+        Printf.sprintf
+          {|{"schema_version":1,"id":"long","tenant":"%s","kind":"stats"}|}
+          long );
+    ]
+  in
   let lines =
     [
       Protocol.request_to_line
@@ -566,10 +606,13 @@ let test_serve_fd_pipe () =
                 co_resident = None;
               };
         };
-      {|{"schema_version":1,"id":"st","tenant":"pipe","kind":"stats"}|};
-      {|{"schema_version":99,"id":"old","tenant":"pipe","kind":"stats"}|};
-      "this is not json";
     ]
+    @ List.map snd refused
+    @ [
+        {|{"schema_version":1,"id":"st","tenant":"pipe","kind":"stats"}|};
+        {|{"schema_version":99,"id":"old","tenant":"pipe","kind":"stats"}|};
+        "this is not json";
+      ]
   in
   let payload = String.concat "\n" lines ^ "\n" in
   let b = Bytes.of_string payload in
@@ -579,6 +622,12 @@ let test_serve_fd_pipe () =
   Server.serve_fd srv ~in_fd:in_r ~out_fd:out_w ~stop:(fun () -> false);
   Server.shutdown srv;
   Unix.close out_w;
+  let raw = read_lines out_r (List.length lines) in
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) "no reply echoes the over-long tenant" true
+        (String.length l < String.length long))
+    raw;
   let responses =
     List.map
       (fun l ->
@@ -588,12 +637,21 @@ let test_serve_fd_pipe () =
           | Ok r -> r
           | Error msg -> Alcotest.failf "bad response %s: %s" l msg)
         | Error msg -> Alcotest.failf "unparseable line %s: %s" l msg)
-      (read_lines out_r 4)
+      raw
   in
   Unix.close out_r;
   Unix.close in_r;
-  Alcotest.(check int) "four responses" 4 (List.length responses);
+  Alcotest.(check int) "one response per line" (List.length lines)
+    (List.length responses);
   let find id = List.find_opt (fun r -> r.Protocol.resp_id = id) responses in
+  (* each refusal is a [bad_request], never [internal], and the daemon
+     keeps serving the lines after it *)
+  List.iter
+    (fun (id, _) ->
+      match find id with
+      | Some { Protocol.result = Error (Protocol.Bad_request, _); _ } -> ()
+      | _ -> Alcotest.failf "%s must get bad_request" id)
+    refused;
   (match find "sim" with
   | Some { Protocol.result = Ok payload; _ } ->
     Alcotest.(check string) "simulate echoes the workload" "ATAX"
@@ -728,11 +786,18 @@ let test_socket_two_clients () =
 
 (* the uncached entry point: these tests are about what the pair
    *simulation* does (attribution, determinism, refusals), so the
-   pair-aware cache must not satisfy the second run from the first *)
+   cell cache must not satisfy the second run from the first *)
+let co_resident_uncached wa scheme_a wb scheme_b =
+  Result.map
+    (fun runs -> (List.nth runs 0, List.nth runs 1))
+    (Result.bind
+       (Runner.Request.group small_cfg [ (wa, scheme_a); (wb, scheme_b) ])
+       Runner.simulate)
+
 let co_pair scheme_a scheme_b =
   let wa = Workloads.Registry.find "ATAX" in
   let wb = Workloads.Registry.find "MVT" in
-  Runner.run_co_resident_uncached small_cfg wa scheme_a wb scheme_b
+  co_resident_uncached wa scheme_a wb scheme_b
 
 (* Co-residency perturbs timing (cycles, hit rates) but must not change
    what each kernel *does*: instruction and L1-access counts stay equal
@@ -748,9 +813,8 @@ let test_co_resident_attribution () =
     Alcotest.(check bool) "B progressed" true (rb.Runner.total_cycles > 0);
     let solo w =
       match
-        Runner.exec_uncached
-          (Runner.Request.make small_cfg (Workloads.Registry.find w)
-             Scheme.Baseline)
+        Runner.run_uncached small_cfg (Workloads.Registry.find w)
+          Scheme.Baseline
       with
       | Ok r -> r
       | Error msg -> Alcotest.fail msg
@@ -797,8 +861,7 @@ let test_co_resident_unequal_tail () =
   let wa = Workloads.Registry.find "GEMM" in
   let wb = Workloads.Registry.find "ATAX" in
   let pair () =
-    Runner.run_co_resident_uncached small_cfg wa Scheme.Baseline wb
-      Scheme.Baseline
+    co_resident_uncached wa Scheme.Baseline wb Scheme.Baseline
   in
   match (pair (), pair ()) with
   | Error msg, _ | _, Error msg -> Alcotest.fail msg
@@ -811,9 +874,7 @@ let test_co_resident_unequal_tail () =
       (rb.Runner.kernels = rb2.Runner.kernels);
     Alcotest.(check int) "B ran both kernels" 2 (List.length rb.Runner.kernels);
     let solo =
-      match
-        Runner.exec_uncached (Runner.Request.make small_cfg wb Scheme.Baseline)
-      with
+      match Runner.run_uncached small_cfg wb Scheme.Baseline with
       | Ok r -> r
       | Error msg -> Alcotest.fail msg
     in
@@ -831,19 +892,81 @@ let test_co_resident_unequal_tail () =
           c.Runner.stats.Gpusim.Stats.l1_accesses)
       solo.Runner.kernels rb.Runner.kernels
 
-let test_co_resident_refuses_runtime_schemes () =
+(* Per-kernel [Stats.to_json] digests of three pairs, recorded before
+   the solo and pair launch paths were folded into one engine: cycles,
+   hits and every other counter must stay bit-identical, not merely
+   deterministic.  The GEMM+ATAX pair covers a solo tail. *)
+let pinned_pair_digests =
+  [
+    ( ("ATAX", Scheme.Baseline, "MVT", Scheme.Baseline),
+      [
+        ("a/atax_kernel1", "1dec13c10a27a0a9208abe06e15fd2aa");
+        ("a/atax_kernel2", "c2c46d651fb75ff731e2e90da4e33805");
+        ("b/mvt_kernel1", "66ec53dae35df0361bb4b0516f78736f");
+        ("b/mvt_kernel2", "b14e4c86ece27a25748031fd03127eb4");
+      ] );
+    ( ("ATAX", Scheme.Baseline, "MVT", Scheme.Catt),
+      [
+        ("a/atax_kernel1", "7c98443530cc45c6149a24c49a106dca");
+        ("a/atax_kernel2", "d2b69f332878a612da89de6ab738f57c");
+        ("b/mvt_kernel1", "539145cfe30d20fe67060aeb5577a013");
+        ("b/mvt_kernel2", "668d933b3d55ddcc990f36eae24cafb3");
+      ] );
+    ( ("GEMM", Scheme.Baseline, "ATAX", Scheme.Baseline),
+      [
+        ("a/gemm_kernel", "72b75f6365c56aaa527a0188123f018c");
+        ("b/atax_kernel1", "556345e70f2ca03432262220216984c9");
+        ("b/atax_kernel2", "65b4601791fe8b4fc9570cb56807b734");
+      ] );
+  ]
+
+let test_co_resident_pinned_digests () =
   List.iter
-    (fun scheme ->
-      match co_pair scheme Scheme.Baseline with
-      | Error _ -> ()
-      | Ok _ ->
-        Alcotest.failf "%s must be refused in co-resident mode"
-          (Scheme.label scheme))
+    (fun ((na, sa, nb, sb), expected) ->
+      let wa = Workloads.Registry.find na and wb = Workloads.Registry.find nb in
+      match co_resident_uncached wa sa wb sb with
+      | Error msg -> Alcotest.fail msg
+      | Ok (ra, rb) ->
+        let digests side (r : Runner.app_run) =
+          List.map
+            (fun (ks : Runner.kernel_stats) ->
+              ( side ^ "/" ^ ks.Runner.kernel_name,
+                Digest.to_hex
+                  (Digest.string
+                     (Json.to_string (Gpusim.Stats.to_json ks.Runner.stats))) ))
+            r.Runner.kernels
+        in
+        Alcotest.(check (list (pair string string)))
+          (Printf.sprintf "%s(%s)+%s(%s)" na (Scheme.label sa) nb
+             (Scheme.label sb))
+          expected
+          (digests "a" ra @ digests "b" rb))
+    pinned_pair_digests
+
+(* every runtime scheme is refused with an [Error] (never an exception)
+   in either member position *)
+let test_co_resident_refuses_runtime_schemes () =
+  let runtime =
     [
       Scheme.Dynamic; Scheme.CcwsSched; Scheme.DawsSched; Scheme.Swl 4;
       (* the interference-aware hardware schemes carry per-SM monitor /
          shadow-tag state that cannot be attributed to one kernel *)
       Scheme.Ciao; Scheme.Ata;
+    ]
+  in
+  List.iter
+    (fun (position, pair) ->
+      List.iter
+        (fun scheme ->
+          match pair scheme with
+          | Error _ -> ()
+          | Ok _ ->
+            Alcotest.failf "%s as member %s must be refused in co-resident mode"
+              (Scheme.label scheme) position)
+        runtime)
+    [
+      ("A", fun s -> co_pair s Scheme.Baseline);
+      ("B", fun s -> co_pair Scheme.Baseline s);
     ]
 
 (* the full handler path: a co-resident simulate request over the wire —
@@ -919,8 +1042,13 @@ let test_co_resident_cache_roundtrip () =
       if swap then ((wb, Scheme.Catt), (wa, Scheme.Baseline))
       else ((wa, Scheme.Baseline), (wb, Scheme.Catt))
     in
-    match Runner.run_co_resident_with_source ~tenant:"pc" small_cfg x sx y sy with
-    | Ok v -> v
+    match
+      Result.bind
+        (Runner.Request.group ~tenant:"pc" small_cfg [ (x, sx); (y, sy) ])
+        Runner.exec_with_source
+    with
+    | Ok ([ r1; r2 ], src) -> ((r1, r2), src)
+    | Ok _ -> Alcotest.fail "a pair yields two runs"
     | Error msg -> Alcotest.fail msg
   in
   let sim0 = Runner.simulated_total () in
@@ -930,13 +1058,12 @@ let test_co_resident_cache_roundtrip () =
     (Runner.simulated_total () - sim0);
   (* the entry landed in the tenant's shard under the order-normalized
      pair identity *)
-  let (_, _), (_, _), workload_label, scheme_pair_label, swap =
-    Runner.pair_identity wa Scheme.Baseline wb Scheme.Catt
-  in
-  Alcotest.(check bool) "ATAX+baseline sorts first" false swap;
+  let id = Runner.identity [ (wa, Scheme.Baseline); (wb, Scheme.Catt) ] in
+  Alcotest.(check (list int)) "ATAX+baseline sorts first" [ 0; 1 ]
+    id.Runner.order;
   let entry =
-    Cache.path ~tenant:"pc" small_cfg ~workload:workload_label
-      ~scheme:scheme_pair_label ~seed:Runner.seed
+    Cache.path ~tenant:"pc" small_cfg ~workload:id.Runner.workload_label
+      ~scheme:id.Runner.scheme_label ~seed:Runner.seed
   in
   Alcotest.(check bool) "pair entry persisted to the shard" true
     (Sys.file_exists entry);
@@ -1684,6 +1811,8 @@ let tests =
           test_co_resident_attribution;
         Alcotest.test_case "pair runs are deterministic" `Quick
           test_co_resident_deterministic;
+        Alcotest.test_case "pinned pair counters" `Quick
+          test_co_resident_pinned_digests;
         Alcotest.test_case "unequal launch counts keep a disjoint tail" `Quick
           test_co_resident_unequal_tail;
         Alcotest.test_case "runtime schemes refused" `Quick
