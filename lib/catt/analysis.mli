@@ -1,15 +1,17 @@
 (** Static collection of per-loop off-chip access patterns.
 
     For every top-level loop of a kernel (the granularity at which CATT
-    makes throttling decisions and transforms code), this pass gathers the
+    makes throttling decisions and transforms code), this pass reports the
     global-memory accesses lexically inside it — including those in nested
-    loops — with their {!Affine} index expressions, by abstract
-    interpretation of the kernel body over the affine domain.
+    loops — with their {!Affine} index expressions.  It is a reading of
+    the one loop-analysis walk, {!Staticmodel.Gaccess.analyze}: each report
+    projects one of that pass's loops and keeps its records alongside.
 
     Loop accumulators ([acc += stride] patterns) are widened to
     [init + stride·iter]; any variable mutated in a non-affine way becomes
     {!Affine.Unknown}, which downstream analysis treats with the paper's
-    conservative irregular-access rule. *)
+    conservative irregular-access rule.  After an [if], a variable keeps
+    its value when both arms agree on it. *)
 
 (** Launch geometry, shared with the sanitizer (same record type). *)
 type geometry = Sanitize.Geom.t = {
@@ -35,11 +37,11 @@ type loop_report = {
   accesses : access list;  (** deduplicated, in first-occurrence order *)
   has_barrier : bool;
       (** body reaches [__syncthreads()]: such loops are never warp-split *)
+  gaccesses : Staticmodel.Gaccess.gaccess list;
+      (** the walk's records for the same accesses, one for one with
+          [accesses]: intervals and uniformity, read by the catt-sa
+          footprint *)
 }
-
-val same_index : Affine.value -> Affine.value -> bool
-(** Equality on the affine domain: two [Unknown]s compare equal (one
-    irregular request stream per array), affine forms structurally. *)
 
 val analyze_kernel :
   Minicuda.Ast.kernel -> geometry -> loop_report list

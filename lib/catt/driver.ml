@@ -96,21 +96,12 @@ let analyze ?(model = `Eq8) (cfg : Gpusim.Config.t) (kernel : Ast.kernel)
       Obs.Span.with_span "catt.footprint" (fun fp_span ->
         let block_x = geometry.Analysis.block_x in
         let reports = Analysis.analyze_kernel kernel geometry in
-        let fps =
+        let of_loop =
           match model with
-          | `Eq8 ->
-            List.map (Footprint.of_loop ~line_bytes ~warp_size ~block_x) reports
-          | `Sa ->
-            (* one interval/reuse pass per kernel; loops joined by id *)
-            let sa = Staticmodel.Gaccess.analyze kernel geometry in
-            List.map
-              (fun (r : Analysis.loop_report) ->
-                Footprint.of_loop_sa ~line_bytes ~warp_size ~block_x
-                  ~tbs:occ.Occupancy.tbs_per_sm
-                  (Staticmodel.Gaccess.find_loop sa ~loop_id:r.Analysis.loop_id)
-                  r)
-              reports
+          | `Eq8 -> Footprint.of_loop ~line_bytes ~warp_size ~block_x
+          | `Sa -> Footprint.of_loop_sa ~line_bytes ~warp_size ~block_x ~tbs
         in
+        let fps = List.map of_loop reports in
         Option.iter
           (fun s -> Obs.Span.add_attr s "loops" (Obs.Span.Int (List.length fps)))
           fp_span;

@@ -42,10 +42,12 @@ val analyze :
   Analysis.geometry ->
   (t, string) result
 (** [Error] on kernels that cannot be configured at all (zero occupancy,
-    oversized shared memory).  [?model] selects the footprint estimator:
-    [`Eq8] (default) is the paper's plain per-warp model,
-    [`Sa] the sharpened interval/reuse model ({!Footprint.of_loop_sa},
-    scheme [catt-sa]); the Eq. 9 search and the transform are shared. *)
+    oversized shared memory).  [?model] selects the footprint estimator
+    read from the same loop reports (one {!Analysis.analyze_kernel} walk
+    per kernel either way): [`Eq8] (default) is the paper's plain
+    per-warp model, [`Sa] the sharpened interval/reuse model
+    ({!Footprint.of_loop_sa}, scheme [catt-sa]); the Eq. 9 search and the
+    transform are shared. *)
 
 val selected_tlp : t -> loop_id:int -> int * int
 (** The Table 3 entry for one loop: [(active warps per TB, concurrent TBs)]

@@ -58,13 +58,13 @@ let has_reuse ~line_bytes (access : Analysis.access) =
 
 (* One loop body touching the same (array, index) several times — a
    read-modify-write, or a value used twice — is one request stream, not
-   several: Eq. 8 must count those lines once.  [Analysis.record] already
-   merges duplicates while collecting, so this is a safety net for
+   several: Eq. 8 must count those lines once.  [Staticmodel.Gaccess]
+   already merges duplicates while collecting, so this is a safety net for
    reports built by other producers (tests, external tools). *)
 let dedupe_accesses (accesses : Analysis.access list) =
   let same (a : Analysis.access) (b : Analysis.access) =
     a.Analysis.array = b.Analysis.array
-    && Analysis.same_index a.Analysis.index b.Analysis.index
+    && Affine.equal_value a.Analysis.index b.Analysis.index
   in
   let rec merge seen = function
     | [] -> List.rev seen
@@ -109,57 +109,42 @@ let of_loop ~line_bytes ~warp_size ~block_x (loop : Analysis.loop_report) =
 (* Sharpened footprints (catt-sa)                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Bridge a staticmodel access record back into the [Analysis.access]
-   shape so downstream consumers (explain, reports) need no new cases. *)
-let access_of_gaccess (g : Staticmodel.Gaccess.gaccess) : Analysis.access =
-  {
-    Analysis.array = g.Staticmodel.Gaccess.garray;
-    index = g.Staticmodel.Gaccess.gindex;
-    is_load = g.Staticmodel.Gaccess.gload;
-    is_store = g.Staticmodel.Gaccess.gstore;
-    innermost_iter = g.Staticmodel.Gaccess.ginnermost;
-  }
-
 (** Eq. 8 with the {!Staticmodel.Reuse} refinements: cross-access line
     unions, inter-warp sharing tiers and interval-bounded irregular
     accesses.  [shared_lines] holds the once-per-SM tier (TB-tier entries
     folded in at [tbs] residency); [req_per_warp] only the truly per-warp
-    lines.  Falls back to {!of_loop} when [sa] carries no matching data.
+    lines.
 
     [has_locality] comes from the symbolic reuse classifier: invariant
     and intra-line-stride accesses reuse their lines, and so does an
     irregular access confined to a finite interval (pigeonhole). *)
 let of_loop_sa ~line_bytes ~warp_size ~block_x ~tbs
-    (sa : Staticmodel.Gaccess.loop_info option) (loop : Analysis.loop_report) =
-  match sa with
-  | None -> of_loop ~line_bytes ~warp_size ~block_x loop
-  | Some li ->
-    let gaccs = li.Staticmodel.Gaccess.gaccesses in
-    let summaries =
-      List.map
-        (fun (g : Staticmodel.Gaccess.gaccess) ->
-          let kind = Staticmodel.Reuse.classify ~line_bytes g in
-          {
-            access = access_of_gaccess g;
-            req_warp =
-              Staticmodel.Reuse.standalone_lines ~line_bytes ~warp_size
-                ~block_x g;
-            has_reuse = Staticmodel.Reuse.has_reuse kind;
-            irregular = g.Staticmodel.Gaccess.gindex = Affine.Unknown;
-          })
-        gaccs
-    in
-    let ll =
-      Staticmodel.Reuse.loop_lines ~line_bytes ~warp_size ~block_x ~tbs gaccs
-    in
-    {
-      loop;
-      summaries;
-      req_per_warp = ll.Staticmodel.Reuse.per_warp;
-      shared_lines = ll.Staticmodel.Reuse.shared;
-      has_locality = List.exists (fun s -> s.has_reuse) summaries;
-      any_irregular = List.exists (fun s -> s.irregular) summaries;
-    }
+    (loop : Analysis.loop_report) =
+  let gaccs = loop.Analysis.gaccesses in
+  let summaries =
+    List.map2
+      (fun access (g : Staticmodel.Gaccess.gaccess) ->
+        let kind = Staticmodel.Reuse.classify ~line_bytes g in
+        {
+          access;
+          req_warp =
+            Staticmodel.Reuse.standalone_lines ~line_bytes ~warp_size ~block_x g;
+          has_reuse = Staticmodel.Reuse.has_reuse kind;
+          irregular = g.Staticmodel.Gaccess.gindex = Affine.Unknown;
+        })
+      loop.Analysis.accesses gaccs
+  in
+  let ll =
+    Staticmodel.Reuse.loop_lines ~line_bytes ~warp_size ~block_x ~tbs gaccs
+  in
+  {
+    loop;
+    summaries;
+    req_per_warp = ll.Staticmodel.Reuse.per_warp;
+    shared_lines = ll.Staticmodel.Reuse.shared;
+    has_locality = List.exists (fun s -> s.has_reuse) summaries;
+    any_irregular = List.exists (fun s -> s.irregular) summaries;
+  }
 
 let size_req_lines fp ~concurrent_warps =
   (fp.req_per_warp * concurrent_warps) + fp.shared_lines

@@ -52,13 +52,13 @@ val of_loop_sa :
   warp_size:int ->
   block_x:int ->
   tbs:int ->
-  Staticmodel.Gaccess.loop_info option ->
   Analysis.loop_report ->
   loop_footprint
 (** The sharpened (catt-sa) footprint: cross-access line unions,
     inter-warp sharing tiers (TB-tier folded in at [tbs] residency) and
-    interval-bounded irregular accesses, built from the {!Staticmodel}
-    report for the same loop.  [None] falls back to {!of_loop}. *)
+    interval-bounded irregular accesses, read from the report's
+    [gaccesses] (so [accesses] and [gaccesses] must pair up one for one,
+    as {!Analysis.analyze_kernel} builds them). *)
 
 val size_req_lines : loop_footprint -> concurrent_warps:int -> int
 (** Eq. 8: lines touched by all concurrently active warps on an SM, plus

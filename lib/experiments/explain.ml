@@ -9,21 +9,22 @@ module Json = Gpu_util.Json
 let analyses cfg (w : Workloads.Workload.t) =
   Runner.analyses_for cfg w Runner.Catt
 
-let workload_to_json cfg (w : Workloads.Workload.t) =
+(* both views take the [analyses] list, so a caller that wants the two
+   (the serve [explain] reply) analyzes each kernel once *)
+let workload_to_json cfg (w : Workloads.Workload.t) analyses =
   Json.Obj
     [
       ("workload", Json.String w.Workloads.Workload.name);
       ( "kernels",
-        Json.List
-          (List.map (fun (_, t) -> Catt.Explain.to_json cfg t) (analyses cfg w))
+        Json.List (List.map (fun (_, t) -> Catt.Explain.to_json cfg t) analyses)
       );
     ]
 
-let render cfg (w : Workloads.Workload.t) =
+let render cfg (w : Workloads.Workload.t) analyses =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "== %s under CATT ==\n" w.Workloads.Workload.name);
-  (match analyses cfg w with
+  (match analyses with
   | [] -> Buffer.add_string buf "no kernel could be analyzed\n"
   | kernels ->
     List.iter

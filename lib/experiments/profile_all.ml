@@ -155,7 +155,6 @@ let kernel_rows cfg (w : Workloads.Workload.t) name collector =
     let cw = occ.Catt.Occupancy.concurrent_warps in
     let spans = loop_spans kernel in
     let reports = Catt.Analysis.analyze_kernel kernel geo in
-    let sa = Staticmodel.Gaccess.analyze kernel geo in
     List.filter_map
       (fun (report : Catt.Analysis.loop_report) ->
         match List.assoc_opt report.Catt.Analysis.loop_id spans with
@@ -170,10 +169,7 @@ let kernel_rows cfg (w : Workloads.Workload.t) name collector =
             Catt.Footprint.of_loop_sa ~line_bytes:cfg.Gpusim.Config.line_bytes
               ~warp_size:cfg.Gpusim.Config.warp_size
               ~block_x:geo.Catt.Analysis.block_x
-              ~tbs:occ.Catt.Occupancy.tbs_per_sm
-              (Staticmodel.Gaccess.find_loop sa
-                 ~loop_id:report.Catt.Analysis.loop_id)
-              report
+              ~tbs:occ.Catt.Occupancy.tbs_per_sm report
           in
           let loads, misses =
             List.fold_left

@@ -123,6 +123,12 @@ let equal a b =
   a.const = b.const && a.c_tx = b.c_tx && a.c_ty = b.c_ty && a.c_bx = b.c_bx
   && a.c_by = b.c_by && a.iters = b.iters
 
+let equal_value a b =
+  match (a, b) with
+  | Affine x, Affine y -> equal x y
+  | Unknown, Unknown -> true
+  | _ -> false
+
 let to_string a =
   let term coeff name acc =
     if coeff = 0 then acc

@@ -58,5 +58,10 @@ val eval_lane :
     coalesced requests (Eq. 7). *)
 
 val equal : t -> t -> bool
+
+val equal_value : value -> value -> bool
+(** Equality on the affine domain: two [Unknown]s compare equal (one
+    irregular request stream per array), affine forms structurally. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -1,14 +1,19 @@
 (** Single abstract-interpretation pass over a kernel body.
 
     The walk does three jobs at once: it maintains the affine/uniformity
-    environment (mirroring the transfer functions of [Catt.Analysis], with a
-    block-uniformity bit on every binding), it emits barrier-divergence
-    diagnostics on the spot — a [__syncthreads()] is only legal when every
-    enclosing condition is block-uniform and no thread-dependent early exit
-    is in flight — and it records shared-memory accesses and barriers as a
-    sequenced event trace.  [Races] and [Bounds] consume the trace
-    afterwards; the may-happen-in-parallel approximation lives in the
-    [aseq]/[aloops] coordinates recorded here. *)
+    environment (a block-uniformity bit on every binding), it emits
+    barrier-divergence diagnostics on the spot — a [__syncthreads()] is
+    only legal when every enclosing condition is block-uniform and no
+    thread-dependent early exit is in flight — and it records
+    shared-memory accesses and barriers as a sequenced event trace.
+    [Races] and [Bounds] consume the trace afterwards; the
+    may-happen-in-parallel approximation lives in the [aseq]/[aloops]
+    coordinates recorded here.
+
+    The environment transfer functions ([decl_binding], [assign_binding],
+    [join_if], [kill_assigned], [widen_body_ctx], [iter_bound]) are shared
+    with [Staticmodel.Gaccess], the global-memory walk that CATT's loop
+    reports ([Catt.Analysis]) and the catt-sa footprint both read. *)
 
 module Ast = Minicuda.Ast
 module U = Uniformity
@@ -88,17 +93,17 @@ let assign_binding ctx op (target : U.binding) e =
   in
   U.refine ctx.U.geo { U.value; uniform }
 
-let same_value a b =
-  match (a.U.value, b.U.value) with
-  | Affine.Affine x, Affine.Affine y -> Affine.equal x y
-  | Affine.Unknown, Affine.Unknown -> true
-  | _ -> false
-
 (* merge a variable across the two arms of an [if]; under a divergent
    condition different threads took different arms, so uniformity survives
-   only when the variable provably holds the same value on both *)
+   only when the variable provably holds the same value on both.  The
+   condition's truth is forced only for a binding uniform on both arms
+   that they change and disagree on: classifying it enumerates every
+   block of the grid. *)
 let join_binding ~divergent (b0 : U.binding) bt be =
-  let value = if same_value bt be then bt.U.value else Affine.Unknown in
+  let value =
+    if Affine.equal_value bt.U.value be.U.value then bt.U.value
+    else Affine.Unknown
+  in
   let untouched = bt == b0 && be == b0 in
   let agree =
     match (bt.U.value, be.U.value) with
@@ -106,7 +111,8 @@ let join_binding ~divergent (b0 : U.binding) bt be =
     | _ -> false
   in
   let uniform =
-    bt.U.uniform && be.U.uniform && ((not divergent) || untouched || agree)
+    bt.U.uniform && be.U.uniform
+    && (untouched || agree || not (Lazy.force divergent))
   in
   { U.value; uniform }
 
@@ -155,7 +161,7 @@ let rec abstract_stmt (ctx : U.ctx) (s : Ast.stmt) : U.ctx =
   | Ast.Assign (Ast.Lvar name, op, e) ->
     U.bind ctx name (assign_binding ctx op (U.lookup ctx name) e)
   | Ast.If (cond, then_b, else_b) ->
-    let divergent = U.truth ctx cond = U.Divergent in
+    let divergent = lazy (U.truth ctx cond = U.Divergent) in
     join_if ~divergent ctx
       (abstract_block ctx then_b)
       (abstract_block ctx else_b)
@@ -167,8 +173,9 @@ let rec abstract_stmt (ctx : U.ctx) (s : Ast.stmt) : U.ctx =
 
 and abstract_block ctx b = List.fold_left abstract_stmt ctx b
 
-(* Widen accumulators exactly as [Catt.Analysis.loop_body_env] does:
-   v_out = v_in + δ with a constant δ becomes v_in + δ·iter. *)
+(* Widen accumulators: v_out = v_in + δ with a constant δ becomes
+   v_in + δ·iter.  [Staticmodel.Gaccess] uses this too, so Eq. 8's loop
+   reports and the sanitizer agree on every widened index. *)
 let widen_body_ctx (ctx : U.ctx) { Ast.loop_var; init; step; body; _ } : U.ctx
     =
   let init_b = U.eval ctx init in
@@ -195,7 +202,10 @@ let widen_body_ctx (ctx : U.ctx) { Ast.loop_var; init; step; body; _ } : U.ctx
           if name = loop_var then (name, b_in)
           else
             let b_out = U.lookup out name in
-            if same_value b_in b_out && b_in.U.uniform = b_out.U.uniform then
+            if
+              Affine.equal_value b_in.U.value b_out.U.value
+              && b_in.U.uniform = b_out.U.uniform
+            then
               (name, b_in)
             else
               match (Affine.sub b_out.U.value b_in.U.value, b_in.U.value) with
@@ -402,7 +412,7 @@ let rec walk_stmt st (ctx : U.ctx) (flow : flow) (s : Ast.stmt) : U.ctx =
     in
     let ctx_then = walk_block st ctx then_flow then_b in
     let ctx_else = walk_block st ctx else_flow else_b in
-    join_if ~divergent:(t = U.Divergent) ctx ctx_then ctx_else
+    join_if ~divergent:(Lazy.from_val (t = U.Divergent)) ctx ctx_then ctx_else
   | Ast.While (cond, body) ->
     let ctx_in = kill_assigned ctx body in
     record_expr st ctx_in flow ~loc cond;

@@ -168,11 +168,13 @@ let handle_explain cfg name : outcome =
   match find_workload name with
   | Error _ as e -> e
   | Ok w ->
+    let analyses = Experiments.Explain.analyses cfg w in
     Ok
       ( Json.Obj
           [
-            ("report", Experiments.Explain.workload_to_json cfg w);
-            ("rendered", Json.String (Experiments.Explain.render cfg w));
+            ("report", Experiments.Explain.workload_to_json cfg w analyses);
+            ( "rendered",
+              Json.String (Experiments.Explain.render cfg w analyses) );
           ],
         false )
 
@@ -608,37 +610,70 @@ type reader = {
           of K requests in one buffer costs O(bytes), where re-scanning
           (or re-materializing the buffer as a string per line) would be
           O(bytes * K) *)
+  mutable skipping : bool;
+      (** an over-long line was refused: drop input up to its newline *)
   mutable eof : bool;
 }
 
-let reader fd =
-  { fd; buf = Bytes.create 4096; pos = 0; len = 0; scanned = 0; eof = false }
+(* The longest valid request is a few hundred bytes; a client that
+   withholds the newline past this many bytes gets [`Too_long] once and
+   the rest of its line is discarded, so the buffer never outgrows it. *)
+let max_line_bytes = 64 * 1024
 
-let take_line r =
+let reader fd =
+  {
+    fd;
+    buf = Bytes.create 4096;
+    pos = 0;
+    len = 0;
+    scanned = 0;
+    skipping = false;
+    eof = false;
+  }
+
+(* forget all buffered input *)
+let clear r =
+  r.pos <- 0;
+  r.len <- 0;
+  r.scanned <- 0
+
+let rec take_line r =
   let i = ref r.scanned in
   while !i < r.len && Bytes.get r.buf !i <> '\n' do
     incr i
   done;
   if !i >= r.len then begin
     r.scanned <- r.len;
-    None
+    if r.len - r.pos < max_line_bytes then `None
+    else begin
+      clear r;
+      if r.skipping then `None
+      else begin
+        r.skipping <- true;
+        `Too_long
+      end
+    end
   end
   else begin
-    let line = Bytes.sub_string r.buf r.pos (!i - r.pos) in
+    let line =
+      if r.skipping then None
+      else Some (Bytes.sub_string r.buf r.pos (!i - r.pos))
+    in
     r.pos <- !i + 1;
     r.scanned <- r.pos;
-    if r.pos = r.len then begin
-      (* buffer fully consumed: rewind so it never grows just because
-         lines keep arriving *)
-      r.pos <- 0;
-      r.len <- 0;
-      r.scanned <- 0
-    end;
-    Some line
+    (* buffer fully consumed: rewind so it never grows just because
+       lines keep arriving *)
+    if r.pos = r.len then clear r;
+    match line with
+    | Some l -> `Line l
+    | None ->
+      r.skipping <- false;
+      take_line r
   end
 
 (* make room to read: compact the consumed prefix away, or — only when a
-   single line overflows the whole buffer — double it *)
+   single line overflows the whole buffer — double it (up to
+   [max_line_bytes], where [take_line] refuses the line) *)
 let make_room r =
   if r.len = Bytes.length r.buf then
     if r.pos > 0 then begin
@@ -657,15 +692,13 @@ let rec next_line r ~stop =
   if stop () then `Stopped
   else
     match take_line r with
-    | Some l -> `Line l
-    | None ->
+    | (`Line _ | `Too_long) as l -> l
+    | `None ->
       if r.eof then
-        if r.len > r.pos then begin
+        if r.len > r.pos && not r.skipping then begin
           (* unterminated final line *)
           let l = Bytes.sub_string r.buf r.pos (r.len - r.pos) in
-          r.pos <- 0;
-          r.len <- 0;
-          r.scanned <- 0;
+          clear r;
           `Line l
         end
         else `Eof
@@ -726,6 +759,18 @@ let serve_fd t ~in_fd ~out_fd ~stop =
   let rec loop () =
     match next_line r ~stop with
     | `Stopped | `Eof -> ()
+    | `Too_long ->
+      respond
+        {
+          Protocol.resp_id = "";
+          resp_tenant = Protocol.default_tenant;
+          result =
+            Error
+              ( Protocol.Bad_request,
+                Printf.sprintf "request line exceeds %d bytes" max_line_bytes
+              );
+        };
+      loop ()
     | `Line line ->
       (if String.trim line <> "" then
          match Protocol.request_of_line line with

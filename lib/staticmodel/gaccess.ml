@@ -1,17 +1,20 @@
-(** Global-memory access collection under the interval/uniformity domain.
+(** Global-memory access collection: the one loop-analysis walk.
 
-    This is {!Catt.Analysis} re-run with a richer abstract state: every
-    recorded access carries, besides its affine form, the index's interval
-    (over all blocks, threads and iterations, seeded from loop bounds,
-    guards and the launch geometry via {!Vrange}) and a block-uniformity
-    bit.  Loop numbering and access merging replicate [Analysis] exactly —
-    the paper's model treats each top-level loop (recursing through [if]
-    arms and blocks) as one throttling region — so a report here can be
-    joined to an [Analysis.loop_report] by [loop_id].
+    Abstract interpretation of a kernel body over the affine,
+    block-uniformity and interval domains (transfer functions shared with
+    {!Sanitize.Walk}, ranges seeded from loop bounds, guards and the launch
+    geometry via {!Vrange}).  Every global-memory access is recorded with
+    its affine form (Eq. 5), its index interval over all blocks, threads
+    and iterations, and a block-uniformity bit.  Accesses are grouped per
+    top-level loop — the paper's throttling region, found by recursing
+    through [if] arms and blocks — and same-(array, index) duplicates are
+    merged.
 
-    Unlike [Analysis], accesses in straight-line code outside every
-    top-level loop are also collected ([straight]); the lint pass wants
-    those too. *)
+    Eq. 8 ([Catt.Analysis], which projects these reports), the catt-sa
+    footprint ([Catt.Footprint.of_loop_sa]) and the lint pass all read
+    this one walk.  Accesses in straight-line code outside every top-level
+    loop are also collected ([straight]); only the lint pass wants
+    those. *)
 
 module Ast = Minicuda.Ast
 module Typecheck = Minicuda.Typecheck
@@ -34,9 +37,10 @@ type gaccess = {
 }
 
 type loop_info = {
-  gloop_id : int;  (** matches [Analysis.loop_report.loop_id] *)
-  gloop_var : string;
-  gaccesses : gaccess list;
+  gloop_id : int;  (** pre-order index among the kernel's top-level loops *)
+  gloop_var : string;  (** ["<while>"] for a [while] loop *)
+  gaccesses : gaccess list;  (** in first-occurrence order *)
+  gbarrier : bool;  (** the loop reaches a [__syncthreads()] *)
 }
 
 type t = {
@@ -52,13 +56,8 @@ type rec_ = {
   globals : (string, unit) Hashtbl.t;
   mutable current : gaccess list;  (* reversed *)
   mutable iter_stack : string list;  (* innermost first *)
+  mutable barrier : bool;  (* a barrier was walked in the current loop *)
 }
-
-let same_index a b =
-  match (a, b) with
-  | Affine.Affine x, Affine.Affine y -> Affine.equal x y
-  | Affine.Unknown, Affine.Unknown -> true
-  | _ -> false
 
 let record rc (ctx : Vrange.ctx) ~array ~idx_expr ~store ~loc =
   if Hashtbl.mem rc.globals array then begin
@@ -81,12 +80,12 @@ let record rc (ctx : Vrange.ctx) ~array ~idx_expr ~store ~loc =
         gloc = loc;
       }
     in
-    (* merge same-(array, index) duplicates the way [Analysis.record]
-       does; hull the intervals so the merge stays an over-approximation *)
+    (* one request stream per same-(array, index) pair; hull the
+       intervals so the merge stays an over-approximation *)
     let rec merge = function
       | [] -> [ acc ]
       | a :: rest ->
-        if a.garray = array && same_index a.gindex acc.gindex then
+        if a.garray = array && Affine.equal_value a.gindex acc.gindex then
           {
             a with
             gload = a.gload || acc.gload;
@@ -178,7 +177,7 @@ let rec walk_stmt rc (ctx : Vrange.ctx) (s : Ast.stmt) : Vrange.ctx =
     record_expr rc ctx ~loc cond;
     let ct = walk_block rc (Vrange.assume ctx cond) then_b in
     let ce = walk_block rc (Vrange.assume_not ctx cond) else_b in
-    let divergent = U.truth ctx.Vrange.u cond = U.Divergent in
+    let divergent = lazy (U.truth ctx.Vrange.u cond = U.Divergent) in
     {
       Vrange.u = Walk.join_if ~divergent ctx.Vrange.u ct.Vrange.u ce.Vrange.u;
       ranges = Vrange.join_ranges ct ce;
@@ -218,7 +217,10 @@ let rec walk_stmt rc (ctx : Vrange.ctx) (s : Ast.stmt) : Vrange.ctx =
         U.bind (Walk.kill_assigned ctx.Vrange.u body) loop_var U.unknown_varying;
       ranges = Vrange.kill_ranges ctx.Vrange.ranges body;
     }
-  | Ast.Syncthreads | Ast.Return | Ast.Break | Ast.Continue -> ctx
+  | Ast.Syncthreads ->
+    rc.barrier <- true;
+    ctx
+  | Ast.Return | Ast.Break | Ast.Continue -> ctx
   | Ast.Block body -> walk_block rc ctx body
 
 and walk_block rc ctx b = List.fold_left (walk_stmt rc) ctx b
@@ -234,10 +236,9 @@ let analyze (k : Ast.kernel) (geo : Geom.t) : t =
     (fun (name, (a : Typecheck.array_info)) ->
       if a.Typecheck.space = Typecheck.Global then Hashtbl.replace globals name ())
     info.Typecheck.arrays;
-  let rc = { globals; current = []; iter_stack = [] } in
+  let rc = { globals; current = []; iter_stack = []; barrier = false } in
   let loops = ref [] in
   let next_id = ref 0 in
-  (* top-level loop numbering identical to [Analysis.analyze_kernel] *)
   let rec top ctx (s : Ast.stmt) : Vrange.ctx =
     match s.Ast.sk with
     | Ast.For _ | Ast.While (_, _) ->
@@ -248,16 +249,22 @@ let analyze (k : Ast.kernel) (geo : Geom.t) : t =
       incr next_id;
       let saved = rc.current in
       rc.current <- [];
+      rc.barrier <- false;
       let ctx' = walk_stmt rc ctx s in
       loops :=
-        { gloop_id = id; gloop_var = loop_var; gaccesses = List.rev rc.current }
+        {
+          gloop_id = id;
+          gloop_var = loop_var;
+          gaccesses = List.rev rc.current;
+          gbarrier = rc.barrier;
+        }
         :: !loops;
       rc.current <- saved;
       ctx'
     | Ast.If (cond, then_b, else_b) ->
       let ct = List.fold_left top (Vrange.assume ctx cond) then_b in
       let ce = List.fold_left top (Vrange.assume_not ctx cond) else_b in
-      let divergent = U.truth ctx.Vrange.u cond = U.Divergent in
+      let divergent = lazy (U.truth ctx.Vrange.u cond = U.Divergent) in
       {
         Vrange.u = Walk.join_if ~divergent ctx.Vrange.u ct.Vrange.u ce.Vrange.u;
         ranges = Vrange.join_ranges ct ce;
@@ -277,6 +284,3 @@ let analyze (k : Ast.kernel) (geo : Geom.t) : t =
   in
   let _ = List.fold_left top ctx0 k.Ast.body in
   { loops = List.rev !loops; straight = List.rev rc.current }
-
-let find_loop t ~loop_id =
-  List.find_opt (fun li -> li.gloop_id = loop_id) t.loops

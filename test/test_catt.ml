@@ -296,7 +296,13 @@ let fp_with_req ?(reuse = true) req_per_warp =
   in
   {
     Footprint.loop =
-      { Analysis.loop_id = 0; loop_var = "j"; accesses = []; has_barrier = false };
+      {
+        Analysis.loop_id = 0;
+        loop_var = "j";
+        accesses = [];
+        has_barrier = false;
+        gaccesses = [];
+      };
     summaries = [ summary ];
     req_per_warp;
     shared_lines = 0;

@@ -246,7 +246,13 @@ let test_throttle_non_power_of_two_warps () =
   let fp =
     {
       Catt.Footprint.loop =
-        { Catt.Analysis.loop_id = 0; loop_var = "j"; accesses = []; has_barrier = false };
+        {
+          Catt.Analysis.loop_id = 0;
+          loop_var = "j";
+          accesses = [];
+          has_barrier = false;
+          gaccesses = [];
+        };
       summaries = [ summary ];
       req_per_warp = 60;
       shared_lines = 0;
@@ -318,6 +324,26 @@ let test_analysis_if_join_agreeing_kept () =
     match index_of loop "a" with
     | Affine.Affine aff -> Alcotest.(check int) "const kept" 5 aff.Affine.const
     | Affine.Unknown -> Alcotest.fail "agreeing join should survive")
+  | _ -> Alcotest.fail "one loop"
+
+(* both arms assign the same value: it survives the join even though it
+   differs from the value before the [if] *)
+let test_analysis_if_join_both_arms_agree () =
+  let src =
+    "__global__ void k(float *a, float *out) {\n\
+     int i = threadIdx.x;\n\
+     int x = 0;\n\
+     if (i < 16) { x = 4; } else { x = 4; }\n\
+     for (int j = 0; j < 4; j++) { out[i] += a[x + j]; }\n\
+     }"
+  in
+  match analyze src with
+  | [ loop ] ->
+    let expected =
+      Affine.add (Affine.Affine (Affine.const 4)) (Affine.Affine (Affine.iter "j"))
+    in
+    Alcotest.(check bool) "index is 4 + j" true
+      (Affine.equal_value expected (index_of loop "a"))
   | _ -> Alcotest.fail "one loop"
 
 let test_analysis_mod_is_unknown () =
@@ -463,6 +489,8 @@ let tests =
       [
         Alcotest.test_case "if-join decays" `Quick test_analysis_if_join_decays;
         Alcotest.test_case "if-join agreement kept" `Quick test_analysis_if_join_agreeing_kept;
+        Alcotest.test_case "if-join both arms agree" `Quick
+          test_analysis_if_join_both_arms_agree;
         Alcotest.test_case "modulo is unknown" `Quick test_analysis_mod_is_unknown;
         Alcotest.test_case "innermost iterator" `Quick test_analysis_innermost_iter_nested;
         Alcotest.test_case "barrier flag" `Quick test_analysis_barrier_flag;

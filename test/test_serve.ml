@@ -609,17 +609,31 @@ let test_serve_fd_pipe () =
     ]
     @ List.map snd refused
     @ [
+        (* a client withholding the newline past the line cap: a valid
+           request padded with blanks, refused without its id *)
+        {|{"schema_version":1,"id":"pad","tenant":"pipe","kind":"stats"}|}
+        ^ String.make (Server.max_line_bytes + 4096) ' ';
         {|{"schema_version":1,"id":"st","tenant":"pipe","kind":"stats"}|};
         {|{"schema_version":99,"id":"old","tenant":"pipe","kind":"stats"}|};
         "this is not json";
       ]
   in
   let payload = String.concat "\n" lines ^ "\n" in
-  let b = Bytes.of_string payload in
-  ignore (Unix.write in_w b 0 (Bytes.length b));
-  Unix.close in_w;
+  (* more than a pipe holds: write from a thread while serve_fd reads *)
+  let writer =
+    Thread.create
+      (fun () ->
+        let b = Bytes.of_string payload in
+        let pos = ref 0 in
+        while !pos < Bytes.length b do
+          pos := !pos + Unix.write in_w b !pos (Bytes.length b - !pos)
+        done;
+        Unix.close in_w)
+      ()
+  in
   (* EOF-terminated: serve_fd drains in-flight work before returning *)
   Server.serve_fd srv ~in_fd:in_r ~out_fd:out_w ~stop:(fun () -> false);
+  Thread.join writer;
   Server.shutdown srv;
   Unix.close out_w;
   let raw = read_lines out_r (List.length lines) in
@@ -669,9 +683,24 @@ let test_serve_fd_pipe () =
   | _ ->
     Alcotest.fail
       "version refusal must still echo the salvageable request id");
-  match find "" with
-  | Some { Protocol.result = Error (Protocol.Bad_request, _); _ } -> ()
-  | _ -> Alcotest.fail "garbage line must yield a bad_request envelope"
+  List.iter
+    (fun r ->
+      match r.Protocol.result with
+      | Error (Protocol.Internal, msg) -> Alcotest.failf "internal: %s" msg
+      | _ -> ())
+    responses;
+  Alcotest.(check bool) "over-long line not served" true (find "pad" = None);
+  (* the garbage line and the over-long line: id-less refusals *)
+  Alcotest.(check int) "two id-less bad_request envelopes" 2
+    (List.length
+       (List.filter
+          (fun r ->
+            r.Protocol.resp_id = ""
+            &&
+            match r.Protocol.result with
+            | Error (Protocol.Bad_request, _) -> true
+            | _ -> false)
+          responses))
 
 (* ------------------------------------------------------------------ *)
 (* Socket: two interleaved clients                                     *)

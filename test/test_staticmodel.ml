@@ -211,6 +211,7 @@ let test_footprint_dedupe_no_overthrottle () =
         [ mk_access ~load:true ~store:false index;
           mk_access ~load:false ~store:true index ];
       has_barrier = false;
+      gaccesses = [];
     }
   in
   let fp = Footprint.of_loop ~line_bytes:128 ~warp_size:32 ~block_x:256 report in
@@ -235,16 +236,10 @@ let test_footprint_dedupe_no_overthrottle () =
 (* ------------------------- of_loop_sa ------------------------------ *)
 
 let sa_footprints src g ~tbs =
-  let kernel = parse src in
-  let reports = Analysis.analyze_kernel kernel g in
-  let sa = Gaccess.analyze kernel g in
   List.map
-    (fun (r : Analysis.loop_report) ->
-      Footprint.of_loop_sa ~line_bytes:128 ~warp_size:32 ~block_x:g.Analysis.block_x
-        ~tbs
-        (Gaccess.find_loop sa ~loop_id:r.Analysis.loop_id)
-        r)
-    reports
+    (Footprint.of_loop_sa ~line_bytes:128 ~warp_size:32
+       ~block_x:g.Analysis.block_x ~tbs)
+    (Analysis.analyze_kernel (parse src) g)
 
 let test_of_loop_sa_atax () =
   match sa_footprints atax_src (geo ()) ~tbs:2 with
@@ -275,19 +270,6 @@ let test_of_loop_sa_mod_bounded () =
     Alcotest.(check int) "Eq. 8' at 8 warps" ((2 * 8) + 2)
       (Footprint.size_req_lines fp ~concurrent_warps:8)
   | fps -> Alcotest.failf "expected 1 loop, found %d" (List.length fps)
-
-(* fallback: without a staticmodel report the constructor is plain Eq. 8 *)
-let test_of_loop_sa_fallback () =
-  let kernel = parse atax_src in
-  let report = List.hd (Analysis.analyze_kernel kernel (geo ())) in
-  let fp_sa =
-    Footprint.of_loop_sa ~line_bytes:128 ~warp_size:32 ~block_x:256 ~tbs:2 None
-      report
-  in
-  let fp = Footprint.of_loop ~line_bytes:128 ~warp_size:32 ~block_x:256 report in
-  Alcotest.(check int) "same per-warp count" fp.Footprint.req_per_warp
-    fp_sa.Footprint.req_per_warp;
-  Alcotest.(check int) "no shared tier" 0 fp_sa.Footprint.shared_lines
 
 (* ------------------------ QCheck soundness ------------------------- *)
 
@@ -495,8 +477,6 @@ let tests =
         Alcotest.test_case "catt-sa sharpens ATAX" `Quick test_of_loop_sa_atax;
         Alcotest.test_case "catt-sa bounds a mod index" `Quick
           test_of_loop_sa_mod_bounded;
-        Alcotest.test_case "no report falls back to Eq. 8" `Quick
-          test_of_loop_sa_fallback;
         Alcotest.test_case "catt-sa covers measured microbench lines" `Slow
           test_sa_footprint_covers_measured_lines;
       ] );
