@@ -25,7 +25,7 @@ type case = {
   bypassable : string;  (* a global array eligible for --bypass runs *)
 }
 
-let divergent_case ~nx ~ny =
+let divergent_case ?(blocks = 2) ~nx ~ny () =
   {
     label = Printf.sprintf "divergent-%dx%d" nx ny;
     src =
@@ -40,7 +40,7 @@ let divergent_case ~nx ~ny =
          }" nx ny ny;
     arrays = [ ("A", nx * ny); ("x", ny); ("tmp", nx) ];
     args = [ Gpu.Arr "A"; Gpu.Arr "x"; Gpu.Arr "tmp" ];
-    grid = (2, 1);
+    grid = (blocks, 1);
     block = (64, 1);
     bypassable = "A";
   }
@@ -64,8 +64,8 @@ let barrier_case ~blocks =
     bypassable = "a";
   }
 
-let branchy_case ~cut ~trips =
-  let threads = 128 in
+let branchy_case ?(blocks = 2) ~cut ~trips () =
+  let threads = blocks * 64 in
   let alen = max threads (trips * 32) in
   {
     label = Printf.sprintf "branchy-%d-%d" cut trips;
@@ -83,7 +83,7 @@ let branchy_case ~cut ~trips =
          }" cut trips;
     arrays = [ ("a", alen); ("out", threads) ];
     args = [ Gpu.Arr "a"; Gpu.Arr "out" ];
-    grid = (2, 1);
+    grid = (blocks, 1);
     block = (64, 1);
     bypassable = "a";
   }
@@ -121,12 +121,12 @@ let gen =
       oneof
         [
           map2
-            (fun nx ny -> divergent_case ~nx ~ny)
+            (fun nx ny -> divergent_case ~nx ~ny ())
             (oneofl [ 64; 128 ])
             (oneofl [ 16; 32; 64 ]);
           map (fun blocks -> barrier_case ~blocks) (oneofl [ 1; 2; 3 ]);
           map2
-            (fun cut trips -> branchy_case ~cut ~trips)
+            (fun cut trips -> branchy_case ~cut ~trips ())
             (oneofl [ 0; 37; 128 ])
             (oneofl [ 4; 16 ]);
         ]
@@ -233,6 +233,89 @@ let prop_profiling_deterministic =
       true)
 
 (* ------------------------------------------------------------------ *)
+(* Pinned schedules: GTO and LRR under the run-time controllers         *)
+(* ------------------------------------------------------------------ *)
+
+(* The golden grid runs GTO only, and the properties above compare two
+   runs of the same simulator, so neither would notice a scheduler change
+   that shifts LRR's rotation or GTO's pick order under a controller.
+   These digests pin the final Stats of each shape under {no controller,
+   CIAO, DYNCTA} x {GTO, LRR}; a scheduler fast path must leave every one
+   of them bit-identical. *)
+
+let pin_cases =
+  [
+    divergent_case ~blocks:8 ~nx:512 ~ny:64 ();
+    barrier_case ~blocks:16;
+    branchy_case ~blocks:8 ~cut:400 ~trips:64 ();
+  ]
+
+let schedule_digests () =
+  List.concat_map
+    (fun case ->
+      List.concat_map
+        (fun throttle ->
+          List.map
+            (fun sched ->
+              let stats, _, _ =
+                run_case case ~sched ~throttle ~bypass:false ~profile:false
+              in
+              (print_cfg (case, sched, throttle, false), Digest.to_hex (Digest.string stats)))
+            [ Gpusim.Sm.Gto; Gpusim.Sm.Lrr ])
+        [ `None; `Ciao; `Dyncta ])
+    pin_cases
+
+(* generated by [schedule_digests] before the scheduler fast paths landed *)
+let schedule_pins =
+  [
+    ("divergent-512x64 sched=gto throttle=none bypass=false",
+     "0759860b48a312c2bfe5c6b24758e0ec");
+    ("divergent-512x64 sched=lrr throttle=none bypass=false",
+     "70d12d496f24441cdbb5823b9691eccd");
+    ("divergent-512x64 sched=gto throttle=ciao bypass=false",
+     "3602226085fea217105416a129587e1d");
+    ("divergent-512x64 sched=lrr throttle=ciao bypass=false",
+     "a509ced69308d381c74a9d8ea7ddc98b");
+    ("divergent-512x64 sched=gto throttle=dyncta bypass=false",
+     "c38be08053edb5968e63453e9b15fe5f");
+    ("divergent-512x64 sched=lrr throttle=dyncta bypass=false",
+     "4a4a4db75340f4e40f4c9cd618eae91c");
+    ("barrier-shared-16 sched=gto throttle=none bypass=false",
+     "797183670231384dd0c11575df5c9372");
+    ("barrier-shared-16 sched=lrr throttle=none bypass=false",
+     "afbc38d50b945d6bd6088e079683549c");
+    ("barrier-shared-16 sched=gto throttle=ciao bypass=false",
+     "797183670231384dd0c11575df5c9372");
+    ("barrier-shared-16 sched=lrr throttle=ciao bypass=false",
+     "afbc38d50b945d6bd6088e079683549c");
+    ("barrier-shared-16 sched=gto throttle=dyncta bypass=false",
+     "797183670231384dd0c11575df5c9372");
+    ("barrier-shared-16 sched=lrr throttle=dyncta bypass=false",
+     "afbc38d50b945d6bd6088e079683549c");
+    ("branchy-400-64 sched=gto throttle=none bypass=false",
+     "31f6302ce75aeb5211e54e1b16790bd5");
+    ("branchy-400-64 sched=lrr throttle=none bypass=false",
+     "4a09404b6b12958320099106a6ea48e7");
+    ("branchy-400-64 sched=gto throttle=ciao bypass=false",
+     "31f6302ce75aeb5211e54e1b16790bd5");
+    ("branchy-400-64 sched=lrr throttle=ciao bypass=false",
+     "4a09404b6b12958320099106a6ea48e7");
+    ("branchy-400-64 sched=gto throttle=dyncta bypass=false",
+     "a5e7fa925a24303a4a06ba85c99f4573");
+    ("branchy-400-64 sched=lrr throttle=dyncta bypass=false",
+     "9d6f8507eae99d2f9f08f9bebf796459");
+  ]
+
+let test_schedule_pins () =
+  let actual = schedule_digests () in
+  Alcotest.(check int) "pin count" (List.length schedule_pins) (List.length actual);
+  List.iter2
+    (fun (label, want) (label', got) ->
+      Alcotest.(check string) "pin order" label label';
+      Alcotest.(check string) label want got)
+    schedule_pins actual
+
+(* ------------------------------------------------------------------ *)
 (* Golden grid: bit-identity of the full evaluation grid               *)
 (* ------------------------------------------------------------------ *)
 
@@ -287,6 +370,8 @@ let tests =
         QCheck_alcotest.to_alcotest prop_profiling_pure;
         QCheck_alcotest.to_alcotest prop_tracing_pure;
         QCheck_alcotest.to_alcotest prop_profiling_deterministic;
+        Alcotest.test_case "GTO/LRR schedules under controllers are pinned"
+          `Quick test_schedule_pins;
         Alcotest.test_case "golden grid bit-identity" `Slow test_golden_grid;
       ] );
   ]
