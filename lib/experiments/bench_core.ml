@@ -32,16 +32,23 @@ type stage = {
   major_words_per_cell : float;
 }
 
-let measure ~name ~cells f =
-  let s0 = Gc.quick_stat () in
-  (* [quick_stat]'s minor_words only advances at collection boundaries;
-     [minor_words ()] reads the allocation pointer, so stages too small
-     to trigger a minor GC still report a real rate *)
+(* Minor words [f] allocates on the calling domain.  [quick_stat]'s
+   minor_words only advances at collection boundaries; [minor_words ()]
+   reads the allocation pointer, so stages too small to trigger a minor
+   GC still report a real rate.  It counts this domain only: work fanned
+   out to other domains must be counted where it runs. *)
+let domain_minor_words f =
   let m0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
   f ();
+  Gc.minor_words () -. m0
+
+(* [f] runs the stage and returns the minor words it allocated, summed
+   over every domain that did its work. *)
+let measure_counted ~name ~cells f =
+  let s0 = Gc.quick_stat () in
+  let t0 = Unix.gettimeofday () in
+  let minor_words = f () in
   let seconds = Unix.gettimeofday () -. t0 in
-  let m1 = Gc.minor_words () in
   let s1 = Gc.quick_stat () in
   let per_cell words = words /. float_of_int (max 1 cells) in
   {
@@ -49,12 +56,15 @@ let measure ~name ~cells f =
     cells;
     seconds;
     cells_per_sec = float_of_int cells /. seconds;
-    minor_words_per_cell = per_cell (m1 -. m0);
+    minor_words_per_cell = per_cell minor_words;
     major_words_per_cell =
       per_cell
         (s1.Gc.major_words -. s0.Gc.major_words
         -. (s1.Gc.promoted_words -. s0.Gc.promoted_words));
   }
+
+(** A stage that runs on the calling domain. *)
+let measure ~name ~cells f = measure_counted ~name ~cells (fun () -> domain_minor_words f)
 
 let run_cell cfg w scheme =
   match Runner.run_uncached cfg w scheme with
@@ -109,13 +119,15 @@ let pool_stages ?(workloads = Workloads.Registry.all) ?(jobs_list = [ 1; 0 ]) ()
       let resolved =
         if jobs <= 0 then Domain.recommended_domain_count () else jobs
       in
-      measure
+      (* each cell's allocation is read on the worker domain that ran it *)
+      measure_counted
         ~name:(Printf.sprintf "pool/jobs-%d" resolved)
         ~cells:n
         (fun () ->
-          ignore
+          List.fold_left ( +. ) 0.
             (Gpu_util.Pool.parallel_map ~jobs
-               (fun w -> run_cell cfg w Runner.Baseline)
+               (fun w ->
+                 domain_minor_words (fun () -> run_cell cfg w Runner.Baseline))
                workloads)))
     (List.sort_uniq compare
        (List.map

@@ -62,7 +62,8 @@ type instr =
   | Sel of int * int * operand * operand
       (** [Sel (dst, cond, a, b)]: per-lane [dst ← cond ≠ 0 ? a : b];
           lowers ternaries without extra divergence *)
-  | Call of string * int * int list  (** builtin, dst, argument registers *)
+  | Call of Minicuda.Builtins.signature * int * int array
+      (** builtin (resolved once, at codegen), dst, argument registers *)
   | Ld of space * int * int * int  (** space, dst, array id, index reg *)
   | St of space * int * int * operand  (** space, array id, index reg, src *)
   | Push_if of int * int  (** cond reg, skip target (Else_mask or Pop_mask) *)
@@ -156,8 +157,9 @@ let instr_name = function
   | Sel (d, c, a, b) ->
     Printf.sprintf "sel r%d, r%d, %s, %s" d c (operand_name a) (operand_name b)
   | Call (f, d, args) ->
-    Printf.sprintf "call r%d, %s(%s)" d f
-      (String.concat ", " (List.map (Printf.sprintf "r%d") args))
+    Printf.sprintf "call r%d, %s(%s)" d f.Minicuda.Builtins.name
+      (String.concat ", "
+         (List.map (Printf.sprintf "r%d") (Array.to_list args)))
   | Ld (sp, d, arr, idx) ->
     Printf.sprintf "ld.%s r%d, a%d[r%d]" (space_name sp) d arr idx
   | St (sp, arr, idx, src) ->

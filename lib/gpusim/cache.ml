@@ -127,14 +127,18 @@ let set_of t line =
     in
     (folded mod t.num_sets + t.num_sets) mod t.num_sets
 
+(* The set scans below are top-level recursions over explicit arguments,
+   not local closures: a local [let rec] capturing [t]/[line] would
+   allocate a closure on every probe, and the load path probes once per
+   transaction. *)
+let rec scan_tags (tags : int array) line slot stop =
+  if slot = stop then -1
+  else if tags.(slot) = line then slot
+  else scan_tags tags line (slot + 1) stop
+
 let find_way t line =
   let base = set_of t line * t.assoc in
-  let rec scan way =
-    if way = t.assoc then -1
-    else if t.tags.(base + way) = line then base + way
-    else scan (way + 1)
-  in
-  scan 0
+  scan_tags t.tags line base (base + t.assoc)
 
 let touch t slot =
   t.tick <- t.tick + 1;
@@ -238,12 +242,7 @@ let ata_find t line =
   if t.ata_ways = 0 || line < 0 then -1
   else begin
     let base = set_of t line * t.ata_ways in
-    let rec scan i =
-      if i = t.ata_ways then -1
-      else if t.ata_tags.(base + i) = line then base + i
-      else scan (i + 1)
-    in
-    scan 0
+    scan_tags t.ata_tags line base (base + t.ata_ways)
   end
 
 let ata_resident t ~line = ata_find t line >= 0
@@ -281,10 +280,7 @@ let ata_admit t ~line =
     end
     else begin
       let base = set_of t line * t.assoc in
-      let rec has_invalid way =
-        way < t.assoc && (t.tags.(base + way) = -1 || has_invalid (way + 1))
-      in
-      if has_invalid 0 then Ata_fill
+      if scan_tags t.tags (-1) base (base + t.assoc) >= 0 then Ata_fill
       else begin
         ata_note t ~line;
         Ata_defer

@@ -211,8 +211,13 @@ let rec gen_expr env (e : Ast.expr) : value =
             (reg :: regs, Temp reg :: frees))
         ([], []) values
     in
+    let fn =
+      match Builtins.find name with
+      | Some fn -> fn
+      | None -> unsupported "unknown builtin %s" name
+    in
     let dst = alloc_temp env in
-    emit env (Bytecode.Call (name, dst, List.rev arg_regs));
+    emit env (Bytecode.Call (fn, dst, Array.of_list (List.rev arg_regs)));
     List.iter (free env) to_free;
     Temp dst
   | Ast.Cast (Ast.Int, a) ->

@@ -65,20 +65,23 @@ let flagged t = Array.to_list t.flagged
 let score t ~warp_id =
   match Hashtbl.find_opt t.scores warp_id with Some r -> !r | None -> 0
 
-let is_flagged t warp_id =
-  (* flagged is tiny (top_k entries): a linear scan beats any set here *)
-  let n = Array.length t.flagged in
-  let rec scan i = i < n && (t.flagged.(i) = warp_id || scan (i + 1)) in
-  scan 0
+(* flagged is tiny (top_k entries): a linear scan beats any set here.
+   Top-level, not a local closure over [t]: it runs once per access. *)
+let rec flagged_from (flagged : int array) warp_id i =
+  i < Array.length flagged
+  && (flagged.(i) = warp_id || flagged_from flagged warp_id (i + 1))
+
+let is_flagged t warp_id = flagged_from t.flagged warp_id 0
 
 let on_evict t ~filler ~victim_line =
   let slot = victim_line mod Array.length t.owners in
   if t.owner_lines.(slot) = victim_line then begin
     let owner = t.owners.(slot) in
     if owner >= 0 && owner <> filler then begin
-      match Hashtbl.find_opt t.scores filler with
-      | Some r -> incr r
-      | None -> Hashtbl.add t.scores filler (ref 1)
+      (* [find] rather than [find_opt]: no [Some] box per eviction *)
+      match Hashtbl.find t.scores filler with
+      | r -> incr r
+      | exception Not_found -> Hashtbl.add t.scores filler (ref 1)
     end
   end
 
@@ -128,6 +131,8 @@ let on_access t ~warp_id ~line =
     t.owner_lines.(slot) <- line;
     false
   end
+
+let can_exclude t = t.mode = Throttle_mode && Array.length t.flagged > 0
 
 let throttle_excluded t ~warp_id =
   t.mode = Throttle_mode && is_flagged t warp_id

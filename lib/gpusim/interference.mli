@@ -40,6 +40,11 @@ val on_evict : t -> filler:int -> victim_line:int -> unit
     the victim belongs to a different warp, the filler's interference
     score rises. *)
 
+val can_exclude : t -> bool
+(** Whether {!throttle_excluded} can hold for any warp right now: throttle
+    mode with a non-empty flagged set.  While it is [false] the scheduler
+    pool is every resident warp. *)
+
 val throttle_excluded : t -> warp_id:int -> bool
 (** In throttle mode, whether [warp_id] is flagged and must be excluded
     from the scheduler pool (the barrier-drain rule still overrides). *)

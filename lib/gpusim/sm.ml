@@ -9,16 +9,24 @@
     cycle, so divergent warps occupy it for many cycles — the bandwidth
     pressure that makes cache thrashing expensive.
 
-    Data layout: the stepping path is allocation-free.  Resident warps
-    live in a flat array with stable compaction on TB retirement (oldest
-    first, as the GTO tie-break needs); the scheduler pool, coalescer
-    lines and per-instruction operand values go through preallocated
-    per-SM scratch buffers; ALU operands are staged into unboxed float
-    arrays so no per-lane float ever crosses a function boundary boxed.
+    Data layout: the stepping path is allocation-free (gated by
+    [gpusim.alloc] in [test/test_gpusim.ml]).  Resident warps live in a
+    flat array with stable compaction on TB retirement (oldest first, as
+    the GTO tie-break needs); the scheduler pool, coalescer lines,
+    builtin-call arguments and per-instruction operand values go through
+    preallocated per-SM scratch buffers; ALU operands are staged into
+    unboxed float arrays so no per-lane float ever crosses a function
+    boundary boxed.
+
+    Scheduling does only the work the model needs: a separate pool is
+    built only while a controller can exclude a warp ({!pool_filters});
+    otherwise the pool is [warps] itself.  [next_event]'s ready-time scan
+    leaves a hint ([x_scan_from]) where the GTO pick's scan may start.
     Every simulation-visible ordering — pool order, transaction issue
     order, profiler event order — matches the original list-based code
     bit for bit (proven by the golden-grid digests in
-    [test/golden_profiles/golden_grid.json]). *)
+    [test/golden_profiles/golden_grid.json] and, for LRR and the
+    controllers, the schedule pins in [test/test_differential.ml]). *)
 
 exception Sim_error of string
 
@@ -125,10 +133,13 @@ type t = {
   mutable x_pool_fresh : bool;
       (* the scratch pool was filled by [next_event] and no simulation
          state has changed since: the first pick of the step may reuse it *)
+  mutable x_scan_from : int;
+      (* GTO scan hint: no warp of [warps] below this index is issuable
+         this cycle (see [min_ready]) *)
+  x_args : float array;  (* scratch: one lane's builtin-call arguments *)
   mutable x_acc : int;  (* scratch int accumulator (masks, fold maxima) *)
   mutable x_next_pc : int;  (* exec_instr outputs, fields instead of refs *)
   mutable x_ready : int;
-  throttled : bool;  (* any scheduler-level throttle active (cached) *)
   dyn : Dynamic_throttle.t option;  (* DYNCTA-like run-time TB-cap controller *)
   ccws : Ccws.t option;  (* CCWS-like lost-locality warp scheduler *)
   daws : Daws.t option;  (* DAWS-like proactive footprint predictor *)
@@ -170,6 +181,11 @@ let make_dummy_warp () =
     daws_hold = [];
   }
 
+let max_builtin_arity =
+  List.fold_left
+    (fun m f -> imax m f.Minicuda.Builtins.arity)
+    1 Minicuda.Builtins.all
+
 (* [?l1] shares an existing L1D instead of creating one: co-resident
    kernel contexts on the same physical SM ({!Gpu.launch_group}) contend
    for one cache, which is exactly the interference being modeled. *)
@@ -206,13 +222,11 @@ let create ?dyn ?ccws ?daws ?swl ?ciao ?l1 job id ~l1_bytes =
     x_va = [||];
     x_vb = [||];
     x_pool_fresh = false;
+    x_scan_from = 0;
+    x_args = Array.make max_builtin_arity 0.;
     x_acc = 0;
     x_next_pc = 0;
     x_ready = 0;
-    throttled =
-      (match (dyn, ccws, swl, ciao) with
-      | None, None, None, None -> false
-      | _ -> true);
     dyn;
     ccws;
     daws;
@@ -667,6 +681,7 @@ let retire_tb sm tb =
     sm.warps.(i) <- sm.dummy_warp
   done;
   sm.n_warps <- !kept;
+  sm.x_scan_from <- 0;
   if sm.last_issued != sm.dummy_warp && sm.last_issued.tb == tb then
     sm.last_issued <- sm.dummy_warp;
   sm.resident_tbs <- sm.resident_tbs - 1;
@@ -928,22 +943,21 @@ let exec_instr sm warp =
           (if regs.(cbase + lane) <> 0. then opa.(abase + lane)
            else opb.(bbase + lane))
     done
-  | Bytecode.Call (name, dst, arg_regs) -> (
-    match Minicuda.Builtins.find name with
-    | None -> sim_error "call to unknown builtin %s" name
-    | Some { Minicuda.Builtins.apply; _ } ->
-      let arity = List.length arg_regs in
-      let args = Array.make arity 0. in
-      let dbase = dst * ws in
-      for lane = 0 to ws - 1 do
-        if active land (1 lsl lane) <> 0 then begin
-          List.iteri
-            (fun i reg -> args.(i) <- regs.((reg * ws) + lane))
-            arg_regs;
-          regs.(dbase + lane) <- apply args
-        end
-      done;
-      sm.x_ready <- sm.now + (2 * cfg.Config.alu_latency))
+  | Bytecode.Call (fn, dst, arg_regs) ->
+    (* the builtin was resolved at codegen; it computes in place in the
+       per-SM argument scratch, so no lane allocates *)
+    let args = sm.x_args in
+    let dbase = dst * ws in
+    for lane = 0 to ws - 1 do
+      if active land (1 lsl lane) <> 0 then begin
+        for i = 0 to Array.length arg_regs - 1 do
+          args.(i) <- regs.((arg_regs.(i) * ws) + lane)
+        done;
+        fn.Minicuda.Builtins.apply args;
+        regs.(dbase + lane) <- args.(0)
+      end
+    done;
+    sm.x_ready <- sm.now + (2 * cfg.Config.alu_latency)
   | Bytecode.Ld (Bytecode.Global, dst, arr_id, idx_reg) ->
     if active <> 0 then sm.x_ready <- exec_global_load sm warp ~dst ~arr_id ~idx_reg
   | Bytecode.St (Bytecode.Global, arr_id, idx_reg, src) ->
@@ -1110,11 +1124,24 @@ let[@inline] issuable warp sm = (not warp.finished) && (not warp.at_barrier) && 
    could never complete *)
 let draining tb = List.exists (fun w -> w.at_barrier) tb.tb_warps
 
-(* Without a run-time throttle the pool is every resident warp, so the
-   pick/next-event scans walk [sm.warps] directly and nothing is copied or
-   stamped.  This is the common case: the baseline and all compiler-side
-   schemes (CATT, fixed, bypass) run with no scheduler-level throttle. *)
-let no_throttle sm = not sm.throttled
+(* Whether the scheduler pool can differ from [sm.warps] right now.  When
+   it cannot, the pick/next-event scans walk [sm.warps] directly and
+   nothing is copied or stamped.  That covers the baseline and every
+   compiler-side scheme (no controller), CIAO outside throttle mode (its
+   usual state: throttling is the fallback when bypassing saturates the
+   NoC) and DYNCTA while its cap admits every resident TB — in each of
+   those states [fill_pool] would copy exactly [sm.warps], in order.  SWL
+   and CCWS always filter: they drop finished warps, which changes LRR's
+   rotation.  Re-asked at every query, never cached: CIAO can change mode
+   on any load and DYNCTA's cap moves on epoch edges. *)
+let pool_filters sm =
+  match (sm.ciao, sm.ccws, sm.dyn, sm.swl) with
+  | Some ci, _, _, _ -> Interference.can_exclude ci
+  | None, Some _, _, _ -> true
+  | None, None, Some d, _ ->
+    Dynamic_throttle.can_exclude d ~resident_tbs:sm.resident_tbs
+  | None, None, None, Some _ -> true
+  | None, None, None, None -> false
 
 let pool_add sm w =
   if sm.n_pool = Array.length sm.pool then begin
@@ -1215,25 +1242,38 @@ let pool_for_pick sm =
    therefore every pool filled from it) is strictly age-ordered — ages are
    assigned monotonically at launch and TB retirement compacts stably.
    The first issuable warp in array order IS the greedy-then-oldest pick,
-   so the scan stops there instead of walking every resident warp. *)
+   so the scan stops there instead of walking every resident warp.
+   Returns the index, [-1] when nothing is issuable. *)
 let rec gto_scan sm (arr : warp array) n i =
-  if i = n then sm.dummy_warp
-  else
-    let w = arr.(i) in
-    if issuable w sm then w else gto_scan sm arr n (i + 1)
+  if i >= n then -1 else if issuable arr.(i) sm then i else gto_scan sm arr n (i + 1)
 
+(* Unfiltered, the scan starts at the [x_scan_from] hint instead of 0 and
+   moves it past the warp it picks: the picked warp is busy for at least a
+   cycle, and executing it cannot make an earlier warp issuable this cycle
+   (a barrier release readies its warps for the next cycle), so a second
+   pick in the same cycle resumes where the first stopped.  The filtered
+   pool is refilled between picks and always scans from 0. *)
 let pick_gto sm =
-  if no_throttle sm then begin
+  if not (pool_filters sm) then begin
     let last = sm.last_issued in
     if last != sm.dummy_warp && issuable last sm then last
-    else gto_scan sm sm.warps sm.n_warps 0
+    else begin
+      let i = gto_scan sm sm.warps sm.n_warps sm.x_scan_from in
+      if i < 0 then sm.dummy_warp
+      else begin
+        sm.x_scan_from <- i + 1;
+        sm.warps.(i)
+      end
+    end
   end
   else begin
     pool_for_pick sm;
     let last = sm.last_issued in
     if last != sm.dummy_warp && issuable last sm && last.pool_stamp = sm.pool_gen
     then last
-    else gto_scan sm sm.pool sm.n_pool 0
+    else
+      let i = gto_scan sm sm.pool sm.n_pool 0 in
+      if i < 0 then sm.dummy_warp else sm.pool.(i)
   end
 
 let rec lrr_scan sm (arr : warp array) n i tries =
@@ -1247,7 +1287,7 @@ let rec lrr_scan sm (arr : warp array) n i tries =
     else lrr_scan sm arr n (i + 1) (tries + 1)
 
 let pick_lrr sm =
-  if no_throttle sm then
+  if not (pool_filters sm) then
     if sm.n_warps = 0 then sm.dummy_warp
     else lrr_scan sm sm.warps sm.n_warps 0 0
   else begin
@@ -1262,15 +1302,20 @@ let pick_warp sm =
 (* Minimum ready time over schedulable warps, with an early exit: the
    result is clamped up to [sm.now] by {!next_event}, so once any warp is
    ready at or before [sm.now] nothing later in the scan can change the
-   clamped answer. *)
+   clamped answer.  Records in [x_scan_from] the first index that reaches
+   the minimum.  Every warp before it is finished, at a barrier, or ready
+   strictly later than the clamped minimum — the cycle the next pick runs
+   at — so the GTO scan of that pick may start there. *)
 let rec min_ready sm (arr : warp array) n i acc =
   if i = n || acc <= sm.now then acc
   else
     let w = arr.(i) in
-    let acc =
-      if w.finished || w.at_barrier || w.ready_at >= acc then acc else w.ready_at
-    in
-    min_ready sm arr n (i + 1) acc
+    if w.finished || w.at_barrier || w.ready_at >= acc then
+      min_ready sm arr n (i + 1) acc
+    else begin
+      sm.x_scan_from <- i;
+      min_ready sm arr n (i + 1) w.ready_at
+    end
 
 (** Earliest cycle at which some warp could issue, clamped up to
     [sm.now] (a warp whose latency expired while the SM was busy issues
@@ -1281,12 +1326,20 @@ let next_event sm =
      warps still count as events (the controller raises the cap on epoch
      edges, which only happen when the SM makes progress, so the pool is
      taken from the cap but events consider everyone) *)
+  sm.x_scan_from <- 0;
   let m =
-    if no_throttle sm then min_ready sm sm.warps sm.n_warps 0 max_int
+    if not (pool_filters sm) then begin
+      sm.x_pool_fresh <- false;
+      min_ready sm sm.warps sm.n_warps 0 max_int
+    end
     else begin
       fill_pool sm;
       sm.x_pool_fresh <- true;
-      min_ready sm sm.pool sm.n_pool 0 max_int
+      let m = min_ready sm sm.pool sm.n_pool 0 max_int in
+      (* the hint indexes [sm.warps]; a pool index means nothing there,
+         and CIAO may leave throttle mode before the second pick *)
+      sm.x_scan_from <- 0;
+      m
     end
   in
   if m = max_int then max_int else imax m sm.now

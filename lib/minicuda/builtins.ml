@@ -5,37 +5,39 @@
     implementation used by the simulator's functional model. *)
 
 type signature = {
+  name : string;
   arity : int;
   returns : Ast.ty;
-  (* float semantics; integer callers are converted at the call site *)
-  apply : float array -> float;
+  apply : float array -> unit;
+      (* float semantics, in place: reads the arguments from
+         [a.(0 .. arity-1)] and stores the result in [a.(0)], so no float
+         crosses the call boxed — the simulator calls this once per lane.
+         Integer callers are converted at the call site. *)
 }
 
-let clamp01 x = if x < 0. then 0. else if x > 1. then 1. else x
+let[@inline] clamp01 x = if x < 0. then 0. else if x > 1. then 1. else x
 
-let all : (string * signature) list =
+(* [min]/[max] spelled out on floats: the polymorphic ones would box both
+   arguments, and on floats they compute exactly this *)
+let all : signature list =
+  let unary name returns f = { name; arity = 1; returns; apply = f } in
+  let binary name returns f = { name; arity = 2; returns; apply = f } in
   [
-    ("sqrtf", { arity = 1; returns = Ast.Float; apply = (fun a -> sqrt a.(0)) });
-    ("expf", { arity = 1; returns = Ast.Float; apply = (fun a -> exp a.(0)) });
-    ("logf", { arity = 1; returns = Ast.Float; apply = (fun a -> log a.(0)) });
-    ("fabsf", { arity = 1; returns = Ast.Float; apply = (fun a -> abs_float a.(0)) });
-    ("sinf", { arity = 1; returns = Ast.Float; apply = (fun a -> sin a.(0)) });
-    ("cosf", { arity = 1; returns = Ast.Float; apply = (fun a -> cos a.(0)) });
-    ( "powf",
-      { arity = 2; returns = Ast.Float; apply = (fun a -> a.(0) ** a.(1)) } );
-    ( "fminf",
-      { arity = 2; returns = Ast.Float; apply = (fun a -> min a.(0) a.(1)) } );
-    ( "fmaxf",
-      { arity = 2; returns = Ast.Float; apply = (fun a -> max a.(0) a.(1)) } );
-    ( "min",
-      { arity = 2; returns = Ast.Int; apply = (fun a -> min a.(0) a.(1)) } );
-    ( "max",
-      { arity = 2; returns = Ast.Int; apply = (fun a -> max a.(0) a.(1)) } );
-    ("abs", { arity = 1; returns = Ast.Int; apply = (fun a -> abs_float a.(0)) });
-    ( "saturatef",
-      { arity = 1; returns = Ast.Float; apply = (fun a -> clamp01 a.(0)) } );
+    unary "sqrtf" Ast.Float (fun a -> a.(0) <- sqrt a.(0));
+    unary "expf" Ast.Float (fun a -> a.(0) <- exp a.(0));
+    unary "logf" Ast.Float (fun a -> a.(0) <- log a.(0));
+    unary "fabsf" Ast.Float (fun a -> a.(0) <- abs_float a.(0));
+    unary "sinf" Ast.Float (fun a -> a.(0) <- sin a.(0));
+    unary "cosf" Ast.Float (fun a -> a.(0) <- cos a.(0));
+    binary "powf" Ast.Float (fun a -> a.(0) <- a.(0) ** a.(1));
+    binary "fminf" Ast.Float (fun a -> if not (a.(0) <= a.(1)) then a.(0) <- a.(1));
+    binary "fmaxf" Ast.Float (fun a -> if not (a.(0) >= a.(1)) then a.(0) <- a.(1));
+    binary "min" Ast.Int (fun a -> if not (a.(0) <= a.(1)) then a.(0) <- a.(1));
+    binary "max" Ast.Int (fun a -> if not (a.(0) >= a.(1)) then a.(0) <- a.(1));
+    unary "abs" Ast.Int (fun a -> a.(0) <- abs_float a.(0));
+    unary "saturatef" Ast.Float (fun a -> a.(0) <- clamp01 a.(0));
   ]
 
-let find name = List.assoc_opt name all
+let find name = List.find_opt (fun s -> String.equal s.name name) all
 
-let is_builtin name = find name <> None
+let is_builtin name = Option.is_some (find name)

@@ -55,6 +55,9 @@ let expect_close ?(eps = 1e-4) ~what expected actual =
   end
 
 let upload_random dev rng name len =
-  let host = Array.init len (fun _ -> Gpu_util.Rng.float rng 1.) in
+  let host = Array.make len 0. in
+  for i = 0 to len - 1 do
+    host.(i) <- Gpu_util.Rng.float rng 1.
+  done;
   Gpusim.Gpu.upload dev name host;
   host

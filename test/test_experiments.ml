@@ -111,11 +111,25 @@ let test_overhead_measures_all () =
   Alcotest.(check int) "two kernels" 2 entry.Experiments.Overhead.kernels;
   Alcotest.(check bool) "fast" true (entry.Experiments.Overhead.seconds < 1.)
 
+(* a pool stage sums each cell's allocation on the domain that ran it, so
+   fanning the same cells over two domains reports what one domain does *)
+let test_pool_minor_words_all_domains () =
+  let workloads = List.map Workloads.Registry.find [ "BT"; "HM"; "MC" ] in
+  match Experiments.Bench_core.pool_stages ~workloads ~jobs_list:[ 1; 2 ] () with
+  | [ one; two ] ->
+    let w1 = one.Experiments.Bench_core.minor_words_per_cell
+    and w2 = two.Experiments.Bench_core.minor_words_per_cell in
+    if abs_float (w2 -. w1) > 0.1 *. w1 then
+      Alcotest.failf "jobs-2 reports %.0f minor words/cell, jobs-1 %.0f" w2 w1
+  | stages -> Alcotest.failf "expected 2 pool stages, got %d" (List.length stages)
+
 let tests =
   [
     ( "experiments.runner",
       [
         Alcotest.test_case "memoization" `Quick test_memoization_returns_same;
+        Alcotest.test_case "pool stages count every domain's allocation" `Quick
+          test_pool_minor_words_all_domains;
         Alcotest.test_case "memo per config" `Quick test_memo_distinguishes_configs;
         Alcotest.test_case "candidate ordering" `Quick test_candidates_ordering;
         Alcotest.test_case "BFTT minimizes" `Quick test_bftt_is_minimum_of_sweep;

@@ -400,6 +400,41 @@ let prop_sim_matches_direct_eval =
       done;
       !ok)
 
+(* ------------------------ Allocation gate -------------------------- *)
+
+(* The stepping path allocates nothing per instruction; what a launch
+   still allocates is per-TB set-up (register files, warp contexts) and
+   the occasional mask-stack frame.  Allocation is deterministic, so this
+   gate holds on any host: at most one minor word per warp instruction,
+   under the plain cache, CIAO's monitor and ATA's shadow tags. *)
+let test_launch_allocation () =
+  let w = Workloads.Registry.find "SYRK" in
+  List.iter
+    (fun (label, runtime_throttle) ->
+      let dev = Gpu.create (Experiments.Configs.max_l1d ()) in
+      w.Workloads.Workload.setup dev (Gpu_util.Rng.create 1);
+      let words = ref 0. and instrs = ref 0 in
+      List.iter
+        (fun (l : Workloads.Workload.kernel_launch) ->
+          let prog =
+            Gpusim.Codegen.compile_kernel
+              (Workloads.Workload.find_kernel w l.kernel_name)
+          in
+          let launch =
+            Gpu.default_launch ~runtime_throttle ~prog ~grid:l.grid ~block:l.block
+              l.args
+          in
+          let m0 = Gc.minor_words () in
+          let stats, _ = Gpu.launch dev launch in
+          words := !words +. (Gc.minor_words () -. m0);
+          instrs := !instrs + stats.Gpusim.Stats.instructions)
+        w.Workloads.Workload.launches;
+      let per_instr = !words /. float_of_int (max 1 !instrs) in
+      if per_instr > 1. then
+        Alcotest.failf "SYRK/%s: %.2f minor words per warp instruction (%.0f / %d)"
+          label per_instr !words !instrs)
+    [ ("baseline", `None); ("ciao", `Ciao); ("ata", `Ata) ]
+
 let tests =
   [
     ( "gpusim.cache",
@@ -453,5 +488,10 @@ let tests =
         Alcotest.test_case "deterministic timing" `Quick test_exec_deterministic_cycles;
         Alcotest.test_case "argument mismatch" `Quick test_exec_launch_arg_mismatch;
         QCheck_alcotest.to_alcotest prop_sim_matches_direct_eval;
+      ] );
+    ( "gpusim.alloc",
+      [
+        Alcotest.test_case "launch allocates <= 1 word per warp instruction"
+          `Quick test_launch_allocation;
       ] );
   ]
