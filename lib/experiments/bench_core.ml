@@ -64,7 +64,8 @@ let measure_counted ~name ~cells f =
   }
 
 (** A stage that runs on the calling domain. *)
-let measure ~name ~cells f = measure_counted ~name ~cells (fun () -> domain_minor_words f)
+let measure ~name ~cells f =
+  measure_counted ~name ~cells (fun () -> domain_minor_words f)
 
 let run_cell cfg w scheme =
   match Runner.run_uncached cfg w scheme with

@@ -9,44 +9,47 @@ module Heap = struct
 
   let size h = h.len
 
-  let swap h i j =
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(j);
-    h.data.(j) <- tmp
-
+  (* sift with a hole instead of swapping: one store per level.  Ties
+     resolve as a swap-based sift would (left child first, move only on
+     strictly smaller), so the array layout is the same too. *)
   let push h x =
     if h.len = Array.length h.data then begin
       let bigger = Array.make (2 * h.len) max_int in
       Array.blit h.data 0 bigger 0 h.len;
       h.data <- bigger
     end;
-    h.data.(h.len) <- x;
+    let data = h.data in
+    let i = ref h.len in
     h.len <- h.len + 1;
-    let i = ref (h.len - 1) in
-    while !i > 0 && h.data.((!i - 1) / 2) > h.data.(!i) do
-      swap h ((!i - 1) / 2) !i;
+    while !i > 0 && data.((!i - 1) / 2) > x do
+      data.(!i) <- data.((!i - 1) / 2);
       i := (!i - 1) / 2
-    done
+    done;
+    data.(!i) <- x
 
   let peek h = if h.len = 0 then max_int else h.data.(0)
 
   let pop h =
     if h.len > 0 then begin
-      h.len <- h.len - 1;
-      h.data.(0) <- h.data.(h.len);
+      let len = h.len - 1 in
+      h.len <- len;
+      let data = h.data in
+      let x = data.(len) in
       let i = ref 0 in
       let continue = ref true in
       while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.len && h.data.(l) < h.data.(!smallest) then smallest := l;
-        if r < h.len && h.data.(r) < h.data.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          swap h !i !smallest;
-          i := !smallest
+        let l = (2 * !i) + 1 in
+        if l >= len then continue := false
+        else begin
+          let c = if l + 1 < len && data.(l + 1) < data.(l) then l + 1 else l in
+          if data.(c) < x then begin
+            data.(!i) <- data.(c);
+            i := c
+          end
+          else continue := false
         end
-        else continue := false
-      done
+      done;
+      data.(!i) <- x
     end
 
   let drain_until h now =

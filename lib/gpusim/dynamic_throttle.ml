@@ -32,8 +32,6 @@ let create ?(epoch_cycles = 2000) ~init_cap () =
 
 let cap t = t.cap
 
-let can_exclude t ~resident_tbs = t.cap < resident_tbs
-
 let on_issue t = t.instrs_this_epoch <- t.instrs_this_epoch + 1
 
 (* called once per SM scheduling step; adjusts the cap on epoch edges *)

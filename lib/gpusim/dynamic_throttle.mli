@@ -16,10 +16,6 @@ val create : ?epoch_cycles:int -> init_cap:int -> unit -> t
 val cap : t -> int
 (** Current number of TBs the scheduler may draw warps from. *)
 
-val can_exclude : t -> resident_tbs:int -> bool
-(** Whether the cap hides any of [resident_tbs] resident TBs; while it is
-    [false] the scheduler pool is every resident warp. *)
-
 val on_issue : t -> unit
 (** Count one issued instruction toward the epoch's IPC. *)
 

@@ -1138,8 +1138,7 @@ let pool_filters sm =
   match (sm.ciao, sm.ccws, sm.dyn, sm.swl) with
   | Some ci, _, _, _ -> Interference.can_exclude ci
   | None, Some _, _, _ -> true
-  | None, None, Some d, _ ->
-    Dynamic_throttle.can_exclude d ~resident_tbs:sm.resident_tbs
+  | None, None, Some d, _ -> Dynamic_throttle.cap d < sm.resident_tbs
   | None, None, None, Some _ -> true
   | None, None, None, None -> false
 
