@@ -3,7 +3,7 @@
 
     Each bench measures a representative, fixed-size slice of the artifact's
     pipeline (a full regeneration takes minutes and belongs to
-    [bin/experiments]); the figures themselves compare the reported
+    [catt_cli experiments]); the figures themselves compare the reported
     estimates: e.g. the fig7 pair shows CATT's simulated kernel completing
     in a fraction of the baseline's wall-clock, because simulated cycles
     dominate simulation time. *)

@@ -9,6 +9,9 @@
       catt_cli run      WORKLOAD [--scheme S] [--onchip KB] [--sms N]
                                                    (simulate under a scheme and print
                                                     per-kernel counters + verification)
+      catt_cli sweep    WORKLOAD [--jobs N] [--onchip KB] [--sms N] [--no-cache]
+                                                   (Fig. 9 throttling-factor axis plus
+                                                    best-SWL and CATT)
       catt_cli profile  WORKLOAD [--scheme S] [--onchip KB] [--sms N]
                         [--trace-out trace.json]
                                                    (cycle accounting + L1D heat maps,
@@ -20,6 +23,14 @@
                                                    (static cache-behavior lint;
                                                     TARGET is a source file or a
                                                     registered workload)
+      catt_cli experiments [ARTIFACT…] [--jobs N] [--onchip KB] [--sms N]
+                           [--no-cache] [--quiet]
+                                                   (regenerate the paper's tables and
+                                                    figures; default: all)
+
+    S is baseline, CATT, fixed(N=..,M=..), dynamic, ccws, daws, swl(..),
+    bypass, catt-sa, ciao or ata — {!Experiments.Scheme.of_string}'s
+    grammar, the same one the wire protocol and cache keys use.
 *)
 
 open Cmdliner
@@ -46,56 +57,47 @@ let block_arg =
     & opt Cli_common.pair (256, 1)
     & info [ "block" ] ~docv:"BX[,BY]" ~doc:"thread-block dimensions")
 
-let config ~onchip_kb ~sms =
-  Gpusim.Config.scaled ~num_sms:sms ~onchip_bytes:(onchip_kb * 1024) ()
-
 let kernels_of path =
   (Minicuda.Parser.parse_program (read_file path)).Minicuda.Ast.kernels
 
-let analyses path (gx, gy) (bx, by) onchip sms jobs =
+let analyses path (gx, gy) (bx, by) cfg jobs =
   let geo = { Catt.Analysis.grid_x = gx; grid_y = gy; block_x = bx; block_y = by } in
-  let cfg = config ~onchip_kb:onchip ~sms in
   let results =
     (* independent per-kernel passes; order is preserved by Pool.map *)
     Gpu_util.Pool.parallel_map ~jobs
       (fun kernel -> (kernel, Catt.Driver.analyze cfg kernel geo))
       (kernels_of path)
   in
-  let ok =
-    List.filter_map
-      (fun (kernel, r) ->
-        match r with
-        | Ok t -> Some (kernel, t)
-        | Error msg ->
-          Printf.eprintf "%s: %s\n" kernel.Minicuda.Ast.kernel_name msg;
-          None)
-      results
-  in
-  (cfg, ok)
+  List.filter_map
+    (fun (kernel, r) ->
+      match r with
+      | Ok t -> Some t
+      | Error msg ->
+        Printf.eprintf "%s: %s\n" kernel.Minicuda.Ast.kernel_name msg;
+        None)
+    results
 
 let analyze_cmd =
-  let run path grid block onchip sms jobs =
-    let cfg, results = analyses path grid block onchip sms jobs in
-    List.iter (fun (_, t) -> Catt.Report.print cfg t) results
+  let run path grid block cfg jobs =
+    List.iter (Catt.Report.print cfg) (analyses path grid block cfg jobs)
   in
   Cmd.v (Cmd.info "analyze" ~doc:"print the per-loop contention analysis")
     Term.(
-      const run $ file_arg $ grid_arg $ block_arg $ Cli_common.onchip
-      $ Cli_common.sms $ Cli_common.jobs)
+      const run $ file_arg $ grid_arg $ block_arg $ Cli_common.config
+      $ Cli_common.jobs)
 
 let transform_cmd =
-  let run path grid block onchip sms jobs =
-    let _, results = analyses path grid block onchip sms jobs in
+  let run path grid block cfg jobs =
     List.iter
-      (fun (_, (t : Catt.Driver.t)) ->
+      (fun (t : Catt.Driver.t) ->
         print_endline (Minicuda.Pretty.kernel t.Catt.Driver.transformed);
         print_newline ())
-      results
+      (analyses path grid block cfg jobs)
   in
   Cmd.v (Cmd.info "transform" ~doc:"print the throttled source")
     Term.(
-      const run $ file_arg $ grid_arg $ block_arg $ Cli_common.onchip
-      $ Cli_common.sms $ Cli_common.jobs)
+      const run $ file_arg $ grid_arg $ block_arg $ Cli_common.config
+      $ Cli_common.jobs)
 
 let check_cmd =
   let strict_arg =
@@ -185,7 +187,8 @@ let write_trace ~path (r : Experiments.Runner.app_run) =
 
 let scheme_arg ~doing =
   Arg.(
-    value & opt string "baseline"
+    value
+    & opt Cli_common.scheme Experiments.Scheme.Baseline
     & info [ "scheme" ] ~docv:"SCHEME"
         ~doc:
           (Printf.sprintf
@@ -196,44 +199,38 @@ let scheme_arg ~doing =
 (* simulate-and-verify from the same Runner path the experiment grids
    use: the counters printed here are the ones the golden grid digests *)
 let run_cmd =
-  let run name scheme_str onchip sms =
-    let cfg = config ~onchip_kb:onchip ~sms in
-    match Experiments.Scheme.of_string scheme_str with
+  let run name scheme cfg =
+    let w = find_workload name in
+    match Experiments.Runner.exec (Experiments.Runner.Request.make cfg w scheme) with
     | Error msg ->
       prerr_endline msg;
-      exit 2
-    | Ok scheme -> (
-      let w = find_workload name in
-      match Experiments.Runner.exec (Experiments.Runner.Request.make cfg w scheme) with
+      exit 1
+    | Ok r -> (
+      Printf.printf "%s under %s (%s): %d cycles total\n"
+        r.Experiments.Runner.workload
+        (Experiments.Runner.scheme_label scheme)
+        (Experiments.Configs.label cfg)
+        r.Experiments.Runner.total_cycles;
+      List.iter
+        (fun (ks : Experiments.Runner.kernel_stats) ->
+          Printf.printf "  %-20s TLP (%2d,%2d)  %s\n"
+            ks.Experiments.Runner.kernel_name
+            (fst ks.Experiments.Runner.tlp)
+            (snd ks.Experiments.Runner.tlp)
+            (Format.asprintf "%a" Gpusim.Stats.pp ks.Experiments.Runner.stats);
+          let s = ks.Experiments.Runner.stats in
+          if s.Gpusim.Stats.bypass_transactions > 0 then
+            Printf.printf "  %-20s bypassed-by-policy=%d\n" ""
+              s.Gpusim.Stats.bypass_transactions;
+          if s.Gpusim.Stats.ata_tag_hits > 0 then
+            Printf.printf "  %-20s ata-tag-hits=%d ata-promotions=%d\n" ""
+              s.Gpusim.Stats.ata_tag_hits s.Gpusim.Stats.ata_promotions)
+        r.Experiments.Runner.kernels;
+      match r.Experiments.Runner.verified with
+      | Ok () -> print_endline "verification: OK"
       | Error msg ->
-        prerr_endline msg;
-        exit 1
-      | Ok r ->
-        Printf.printf "%s under %s (%s): %d cycles total\n"
-          r.Experiments.Runner.workload
-          (Experiments.Runner.scheme_label scheme)
-          (Experiments.Configs.label cfg)
-          r.Experiments.Runner.total_cycles;
-        List.iter
-          (fun (ks : Experiments.Runner.kernel_stats) ->
-            Printf.printf "  %-20s TLP (%2d,%2d)  %s\n"
-              ks.Experiments.Runner.kernel_name
-              (fst ks.Experiments.Runner.tlp)
-              (snd ks.Experiments.Runner.tlp)
-              (Format.asprintf "%a" Gpusim.Stats.pp ks.Experiments.Runner.stats);
-            let s = ks.Experiments.Runner.stats in
-            if s.Gpusim.Stats.bypass_transactions > 0 then
-              Printf.printf "  %-20s bypassed-by-policy=%d\n" ""
-                s.Gpusim.Stats.bypass_transactions;
-            if s.Gpusim.Stats.ata_tag_hits > 0 then
-              Printf.printf "  %-20s ata-tag-hits=%d ata-promotions=%d\n" ""
-                s.Gpusim.Stats.ata_tag_hits s.Gpusim.Stats.ata_promotions)
-          r.Experiments.Runner.kernels;
-        match r.Experiments.Runner.verified with
-        | Ok () -> print_endline "verification: OK"
-        | Error msg ->
-          Printf.printf "verification: FAILED (%s)\n" msg;
-          exit 1)
+        Printf.printf "verification: FAILED (%s)\n" msg;
+        exit 1)
   in
   Cmd.v
     (Cmd.info "run"
@@ -242,8 +239,7 @@ let run_cmd =
           counters (including the CIAO bypassed-by-policy and ATA tag-array \
           counters when non-zero), then check the CPU oracle")
     Term.(
-      const run $ workload_arg $ scheme_arg ~doing:"run" $ Cli_common.onchip
-      $ Cli_common.sms)
+      const run $ workload_arg $ scheme_arg ~doing:"run" $ Cli_common.config)
 
 let profile_cmd =
   let scheme_arg = scheme_arg ~doing:"profile" in
@@ -257,41 +253,34 @@ let profile_cmd =
              timeline, and write them as Chrome trace-event JSON loadable \
              in chrome://tracing or Perfetto")
   in
-  let run name scheme_str trace_out onchip sms =
-    let cfg = config ~onchip_kb:onchip ~sms in
-    match Experiments.Scheme.of_string scheme_str with
+  let run name scheme trace_out cfg =
+    let w = find_workload name in
+    let timeline = trace_out <> None in
+    if timeline then Obs.Span.enabled := true;
+    match
+      Experiments.Runner.exec
+        (Experiments.Runner.Request.make ~profile:true ~timeline cfg w scheme)
+    with
     | Error msg ->
       prerr_endline msg;
-      exit 2
-    | Ok scheme -> (
-      let w = find_workload name in
-      let timeline = trace_out <> None in
-      if timeline then Obs.Span.enabled := true;
-      match
-        Experiments.Runner.exec
-          (Experiments.Runner.Request.make ~profile:true ~timeline cfg w
-             scheme)
-      with
-      | Error msg ->
-        prerr_endline msg;
-        exit 1
-      | Ok r ->
-        Printf.printf "%s, %s scheme, %d total cycles\n"
-          r.Experiments.Runner.workload
-          (Experiments.Runner.scheme_label scheme)
-          r.Experiments.Runner.total_cycles;
-        List.iter
-          (fun (ks : Experiments.Runner.kernel_stats) ->
-            match ks.Experiments.Runner.profile with
-            | Some p ->
-              Printf.printf "\n==== kernel %s ====\n\n%s"
-                ks.Experiments.Runner.kernel_name
-                (Profile.Collector.render p)
-            | None -> ())
-          r.Experiments.Runner.kernels;
-        match trace_out with
-        | Some path -> write_trace ~path r
-        | None -> ())
+      exit 1
+    | Ok r -> (
+      Printf.printf "%s, %s scheme, %d total cycles\n"
+        r.Experiments.Runner.workload
+        (Experiments.Runner.scheme_label scheme)
+        r.Experiments.Runner.total_cycles;
+      List.iter
+        (fun (ks : Experiments.Runner.kernel_stats) ->
+          match ks.Experiments.Runner.profile with
+          | Some p ->
+            Printf.printf "\n==== kernel %s ====\n\n%s"
+              ks.Experiments.Runner.kernel_name
+              (Profile.Collector.render p)
+          | None -> ())
+        r.Experiments.Runner.kernels;
+      match trace_out with
+      | Some path -> write_trace ~path r
+      | None -> ())
   in
   Cmd.v
     (Cmd.info "profile"
@@ -300,8 +289,7 @@ let profile_cmd =
           render per-SM cycle accounting plus per-array L1D heat maps; \
           $(b,--trace-out) additionally exports a Perfetto timeline")
     Term.(
-      const run $ workload_arg $ scheme_arg $ trace_out_arg $ Cli_common.onchip
-      $ Cli_common.sms)
+      const run $ workload_arg $ scheme_arg $ trace_out_arg $ Cli_common.config)
 
 let explain_cmd =
   let json_arg =
@@ -310,8 +298,7 @@ let explain_cmd =
       & info [ "json" ]
           ~doc:"emit the provenance record as JSON instead of rendering it")
   in
-  let run name as_json onchip sms =
-    let cfg = config ~onchip_kb:onchip ~sms in
+  let run name as_json cfg =
     let w = find_workload name in
     let analyses = Experiments.Explain.analyses cfg w in
     if as_json then
@@ -328,7 +315,7 @@ let explain_cmd =
           sequence tried against the L1D capacity, and the sanitizer \
           gate outcome")
     Term.(
-      const run $ workload_arg $ json_arg $ Cli_common.onchip $ Cli_common.sms)
+      const run $ workload_arg $ json_arg $ Cli_common.config)
 
 let lint_cmd =
   let target_arg =
@@ -346,8 +333,7 @@ let lint_cmd =
       & info [ "json" ]
           ~doc:"emit the diagnostics as deterministic JSON instead of text")
   in
-  let run target as_json (gx, gy) (bx, by) onchip sms =
-    let cfg = config ~onchip_kb:onchip ~sms in
+  let run target as_json (gx, gy) (bx, by) cfg =
     let targets =
       if Sys.file_exists target then
         let geo =
@@ -386,7 +372,111 @@ let lint_cmd =
           severity with source positions")
     Term.(
       const run $ target_arg $ json_arg $ grid_arg $ block_arg
-      $ Cli_common.onchip $ Cli_common.sms)
+      $ Cli_common.config)
+
+(* the Fig. 9 axis for one workload: every (N, M) candidate, then the best
+   static warp limit and CATT's own pick *)
+let sweep_cmd =
+  let run name cfg jobs no_cache =
+    Experiments.Cache.enabled := not no_cache;
+    let w = find_workload name in
+    let open Experiments.Runner in
+    Printf.printf "throttling-factor sweep for %s (N = warp split, M = TB cut):\n"
+      w.Workloads.Workload.name;
+    (* precompute every cell of the sweep (plus best-SWL and CATT) across
+       the pool; the prints below then read from the memo in order *)
+    let cells =
+      List.map
+        (fun (n, m) ->
+          (cfg, w, if n = 1 && m = 0 then Baseline else Fixed (n, m)))
+        (candidates cfg w)
+      @ List.map (fun k -> (cfg, w, Swl k)) (swl_candidates cfg w)
+      @ [ (cfg, w, Catt) ]
+    in
+    ignore (run_many ~jobs cells);
+    let points = sweep cfg w in
+    let base = match points with ((1, 0), r) :: _ -> r.total_cycles | _ -> 1 in
+    List.iter
+      (fun ((n, m), r) ->
+        Printf.printf "  N=%2d M=%2d  %10d cycles  %.2fx\n" n m r.total_cycles
+          (float_of_int r.total_cycles /. float_of_int base))
+      points;
+    let k, swl = best_swl cfg w in
+    Printf.printf "  best-SWL (k=%d warps): %d cycles\n" k swl.total_cycles;
+    Printf.printf "  CATT:                  %d cycles\n"
+      (Experiments.Runner.run cfg w Catt).total_cycles
+  in
+  Cmd.v
+    (Cmd.info "sweep"
+       ~doc:
+         "print a workload's full throttling-factor sweep (the Fig. 9 axis) \
+          plus the best static warp limit and CATT")
+    Term.(
+      const run $ workload_arg $ Cli_common.config $ Cli_common.jobs
+      $ Cli_common.no_cache)
+
+(* The (workload x scheme) grid behind the requested artifacts is
+   precomputed on a pool of [--jobs] domains, and every completed cell is
+   persisted under results/cache/ — a second invocation reports a cache
+   hit per cell and renders from disk.  Rendering itself is sequential, so
+   the artifact output is identical for any job count. *)
+let experiments_cmd =
+  let artifact_args =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"ARTIFACT"
+          ~doc:
+            (Printf.sprintf "artifacts to regenerate: %s (default: all)"
+               (String.concat ", " Experiments.Report.ids)))
+  in
+  let quiet =
+    Arg.(value & flag & info [ "quiet" ] ~doc:"suppress per-run progress lines")
+  in
+  let run artifact_ids jobs onchip_kb sms no_cache quiet =
+    Experiments.Configs.onchip_kb := onchip_kb;
+    Experiments.Configs.num_sms := sms;
+    Experiments.Cache.enabled := not no_cache;
+    Experiments.Runner.progress := not quiet;
+    let targets =
+      match artifact_ids with
+      | [] | [ "all" ] -> Experiments.Report.artifacts
+      | ids ->
+        List.map
+          (fun id ->
+            match Experiments.Report.find id with
+            | Some a -> a
+            | None ->
+              Printf.eprintf "unknown artifact %s (known: %s)\n" id
+                (String.concat " " Experiments.Report.ids);
+              exit 2)
+          ids
+    in
+    ignore
+      (Experiments.Report.warm ~jobs
+         (List.map (fun (a : Experiments.Report.artifact) -> a.id) targets));
+    List.iter
+      (fun (a : Experiments.Report.artifact) ->
+        Printf.printf "==== %s ====\n\n%s\n\n%!" a.title (a.render ()))
+      targets;
+    let cs = Experiments.Cache.stats () in
+    let cells = Obs.Metrics.value (Obs.Metrics.counter "sim.cells") in
+    let uptime_us =
+      match List.assoc_opt "process.uptime_us" (Obs.Metrics.snapshot ()) with
+      | Some (Obs.Metrics.Count us) -> float_of_int us
+      | _ -> 0.
+    in
+    Printf.printf
+      "summary: cache %d hits / %d misses / %d evicted / %d stored; %d cells \
+       simulated (%.2f cells/sec)\n"
+      cs.Experiments.Cache.hits cs.Experiments.Cache.misses
+      cs.Experiments.Cache.evictions cs.Experiments.Cache.stores cells
+      (if uptime_us <= 0. then 0. else float_of_int cells /. (uptime_us /. 1e6))
+  in
+  Cmd.v
+    (Cmd.info "experiments" ~doc:"regenerate the paper's tables and figures")
+    Term.(
+      const run $ artifact_args $ Cli_common.jobs $ Cli_common.onchip
+      $ Cli_common.sms $ Cli_common.no_cache $ quiet)
 
 let bench_cmd =
   let module Bench = Experiments.Bench_core in
@@ -420,7 +510,8 @@ let bench_cmd =
     end
     else if not (Sys.file_exists baseline) then begin
       Printf.eprintf
-        "no committed baseline at %s — generate one with `bench --json %s`\n"
+        "no committed baseline at %s — generate one with `dune exec \
+         bench/main.exe -- --json %s`\n"
         baseline baseline;
       exit 2
     end
@@ -498,5 +589,6 @@ let () =
        (Cmd.group ~default info
           [
             analyze_cmd; transform_cmd; check_cmd; disasm_cmd; run_cmd;
-            profile_cmd; explain_cmd; lint_cmd; bench_cmd;
+            sweep_cmd; profile_cmd; explain_cmd; lint_cmd; experiments_cmd;
+            bench_cmd;
           ]))

@@ -1,14 +1,17 @@
 (** Shared Cmdliner pieces for the repo's executables.
 
-    [catt_cli], [simulate] and [experiments_main] all take device-shape
-    and parallelism options; defining the converters and terms once
-    keeps the flags spelled (and documented) identically everywhere. *)
+    [catt_cli] and [catt_d] both take device-shape and parallelism
+    options (and [catt_cli] a scheme); defining the converters and terms
+    once keeps the flags spelled, documented and range-checked
+    identically everywhere.  A
+    device or geometry value below 1 is refused as an option error
+    (exit 124) where it is parsed, never deeper as an uncaught
+    [Invalid_argument] from {!Gpusim.Config.validate}. *)
 
 open Cmdliner
 
-(** Parses ["N"], ["N,M"] or ["NxM"] into a pair (the second component
-    defaults to 1) — grid/block geometry and fixed throttling factors
-    share this shape. *)
+(** Parses ["N"], ["N,M"] or ["NxM"] into a grid/block geometry pair (the
+    second component defaults to 1); both components must be >= 1. *)
 let pair_of_string s =
   let parts =
     match String.split_on_char ',' s with
@@ -16,21 +19,42 @@ let pair_of_string s =
     | parts -> parts
   in
   let int_of p = int_of_string_opt (String.trim p) in
+  let positive (x, y) =
+    if x >= 1 && y >= 1 then Ok (x, y)
+    else Error (Printf.sprintf "dimensions must be >= 1, found %S" s)
+  in
   match parts with
   | [ x ] -> (
     match int_of x with
-    | Some x -> Ok (x, 1)
+    | Some x -> positive (x, 1)
     | None -> Error (Printf.sprintf "expected an integer, found %S" s))
   | [ x; y ] -> (
     match (int_of x, int_of y) with
-    | Some x, Some y -> Ok (x, y)
+    | Some x, Some y -> positive (x, y)
     | _ -> Error (Printf.sprintf "expected N,M or NxM, found %S" s))
   | _ -> Error (Printf.sprintf "expected N or N,M, found %S" s)
 
+let conv_of_result parse print =
+  Arg.conv ((fun s -> Result.map_error (fun m -> `Msg m) (parse s)), print)
+
 let pair : (int * int) Arg.conv =
-  let parse s = Result.map_error (fun m -> `Msg m) (pair_of_string s) in
-  let print fmt (x, y) = Format.fprintf fmt "%d,%d" x y in
-  Arg.conv (parse, print)
+  conv_of_result pair_of_string (fun fmt (x, y) -> Format.fprintf fmt "%d,%d" x y)
+
+(** A count or size that must be at least 1. *)
+let positive_int : int Arg.conv =
+  conv_of_result
+    (fun s ->
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (Printf.sprintf "expected an integer >= 1, found %S" s))
+    Format.pp_print_int
+
+(** Every runnable {!Experiments.Scheme.t}, in the spelling of
+    {!Experiments.Scheme.of_string} — the one the wire protocol and cache
+    keys use, so an out-of-range [swl(0)] is refused here too. *)
+let scheme : Experiments.Scheme.t Arg.conv =
+  conv_of_result Experiments.Scheme.of_string (fun fmt s ->
+      Format.pp_print_string fmt (Experiments.Scheme.label s))
 
 (* ------------------------------------------------------------------ *)
 (* The flags every tool shares                                         *)
@@ -39,14 +63,14 @@ let pair : (int * int) Arg.conv =
 let onchip =
   Arg.(
     value
-    & opt int Experiments.Configs.default_onchip_kb
+    & opt positive_int Experiments.Configs.default_onchip_kb
     & info [ "onchip" ] ~docv:"KB"
         ~doc:"on-chip memory (L1D+shared) per SM, KB")
 
 let sms =
   Arg.(
     value
-    & opt int Experiments.Configs.default_num_sms
+    & opt positive_int Experiments.Configs.default_num_sms
     & info [ "sms" ] ~docv:"N" ~doc:"number of SMs")
 
 let jobs =

@@ -29,7 +29,7 @@ let dir : string ref = ref (Filename.concat "results" "cache")
 (* Counters                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* process-wide, always on: surfaced in the experiments_main summary
+(* process-wide, always on: surfaced in the `catt_cli experiments` summary
    line, span attrs, and every run manifest's metric snapshot *)
 let m_hits = Obs.Metrics.counter "cache.hits"
 let m_misses = Obs.Metrics.counter "cache.misses"
@@ -82,9 +82,6 @@ let config_fingerprint (c : Config.t) =
     alu_latency;
     lsu_throughput;
     issue_width;
-    (* trace_cap deliberately excluded: it bounds the Fig. 2 trace ring,
-       which is never cached, and cannot change simulated counters *)
-    trace_cap = _;
   } =
     c
   in

@@ -33,9 +33,6 @@ type t = {
       (** instructions (from distinct warps) issued per SM per cycle —
           models the SM's multiple warp schedulers; > 1 makes memory
           throughput the binding resource under thrashing, as on hardware *)
-  trace_cap : int;
-      (** entries kept by a {!Trace.t} ring buffer; oldest entries are
-          overwritten past this, so traced runs stay memory-bounded *)
 }
 
 let validate c =
@@ -52,7 +49,6 @@ let validate c =
     c.smem_carveout_options;
   if not (List.mem 0 c.smem_carveout_options) then
     invalid_arg "Config: carveout options must include 0";
-  if c.trace_cap <= 0 then invalid_arg "Config: trace_cap must be positive";
   c
 
 (** Titan V–like geometry (Table 1): 128 KB unified on-chip memory, shared
@@ -82,7 +78,6 @@ let volta ?(num_sms = 4) () =
       alu_latency = 2;
       lsu_throughput = 1;
       issue_width = 2;
-      trace_cap = 1 lsl 18;
     }
 
 (** Scaled device used by the experiment harness: quarter-size on-chip
@@ -115,7 +110,6 @@ let scaled ?(num_sms = 4) ?(onchip_bytes = 32 * 1024) () =
       alu_latency = 2;
       lsu_throughput = 1;
       issue_width = 2;
-      trace_cap = 1 lsl 18;
     }
 
 let with_onchip c bytes =

@@ -303,7 +303,7 @@ let launch_group members =
         let arrays, scalar_values, _ = bind_args_from m.dev ~base:m.base l in
         let stats = Stats.create () in
         let trace =
-          if l.trace then Trace.create ~cap:cfg.Config.trace_cap ~sm:0 ()
+          if l.trace then Trace.create ~sm:0 ()
           else Trace.disabled
         in
         let job =
